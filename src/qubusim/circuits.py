@@ -6,9 +6,10 @@ A program document has four sections:
   ("H", "V", "+", "-" or {"H": [re, im], "V": [re, im]}, normalized);
 * ``beams``: initial live qubus amplitudes as [re, im] pairs;
 * ``circuit``: the ordered instruction list (elements, measurements and
-  gates; see ``INSTRUCTIONS`` below);
-* ``run``: options — mode "exact" or "sample", seed, shots, default gate
-  alpha/theta, optional detector {eta, gamma, theta_p} and Poisson tail.
+  gates; ``REQUIRED_FIELDS`` below lists each op with the fields it needs);
+* ``run``: options — mode "exact" or "sample", seed, shots (an integer
+  ≥ 1), default gate alpha/theta, optional detector {eta, gamma, theta_p}
+  and Poisson tail.
 
 Malformed documents raise ParseError; well-formed documents with dangling
 references or unnormalized states raise ValidationError.  Reports are plain
@@ -59,12 +60,37 @@ from .gates import (
 )
 from .state import HybridState, product_state
 
-ELEMENT_OPS = ("photon_bs", "pbs_hv", "pbs_diag", "phase_shift",
-               "qubus_phase", "qubus_bs", "xpm", "photon_unitary", "swap_paths")
-MEASURE_OPS = ("measure_fock", "qnd")
-GATE_OPS = ("c_path", "merging", "cnot", "cz", "c_phase", "controlled_pair",
-            "two_qubit", "fredkin", "toffoli", "multi_toffoli")
-INSTRUCTIONS = ELEMENT_OPS + MEASURE_OPS + GATE_OPS
+# every op with the fields it reads and their JSON types; parse_circuit
+# checks them
+_TWO_QUBIT = {"control": str, "target": str}
+REQUIRED_FIELDS = {
+    # elements
+    "photon_bs": {"paths": list},
+    "pbs_hv": {"transmit": dict, "reflect": dict},
+    "pbs_diag": {"transmit": dict, "reflect": dict},
+    "phase_shift": {"path": int, "phi": float},
+    "qubus_phase": {"beam": int, "phi": float},
+    "qubus_bs": {"beams": list},
+    "xpm": {"path": int, "beam": int},
+    "photon_unitary": {"photon": str, "modes": list, "matrix": list},
+    "swap_paths": {"paths": list},
+    # measurements
+    "measure_fock": {"beam": int},
+    "qnd": {"beam": int},
+    # gates
+    "c_path": {**_TWO_QUBIT, "target_paths": list},
+    "merging": {"photon": str, "source_paths": list, "dest": int,
+                "companion_flip": dict},
+    "cnot": _TWO_QUBIT,
+    "cz": _TWO_QUBIT,
+    "c_phase": {**_TWO_QUBIT, "phi": float},
+    "controlled_pair": {**_TWO_QUBIT, "u1": list, "u2": list},
+    "two_qubit": {**_TWO_QUBIT, "matrix": list},
+    "fredkin": {"control": str, "targets": list},
+    "toffoli": {"controls": list, "target": str},
+    "multi_toffoli": {"controls": list, "target": str},
+}
+INSTRUCTIONS = tuple(REQUIRED_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -189,6 +215,10 @@ def parse_circuit(text: str) -> CircuitProgram:
         op = ins["op"]
         if op not in INSTRUCTIONS:
             raise ValidationError(f"unknown op {op!r}", where)
+        for key, kind in REQUIRED_FIELDS[op].items():
+            _need(ins, key, kind, where)
+        if op == "merging":
+            _need(ins["companion_flip"], "path", int, f"{where}.companion_flip")
         for key in ("photon", "control", "target"):
             if key in ins and ins[key] not in ids:
                 raise ValidationError(f"unknown photon {ins[key]!r}", where)
@@ -210,11 +240,15 @@ def parse_circuit(text: str) -> CircuitProgram:
             if key in ins:
                 known_paths |= set(ins[key])
 
+    shots = run.get("shots", 1)
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}",
+                              "run.shots")
     cutoff = run.get("cutoff")
     return CircuitProgram(
         photons=tuple(photons), beams=beams, extra_paths=extra,
         instructions=tuple(instructions), mode=mode,
-        seed=int(run.get("seed", 0)), shots=int(run.get("shots", 1)),
+        seed=int(run.get("seed", 0)), shots=shots,
         alpha=float(run.get("alpha", 2.0)), theta=float(run.get("theta", 0.5)),
         detector=det, tail=float(run.get("tail", 1e-12)),
         cutoff=None if cutoff is None else int(cutoff))

@@ -152,6 +152,13 @@ def _cmd_verify_gate(args) -> int:
     return 0 if residual <= GATE_TOL else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the structured report (JSON) here")
     p.add_argument("--mode", choices=["exact", "sample"])
     p.add_argument("--seed", type=int, help="64-bit sampling seed")
-    p.add_argument("--shots", type=int)
+    p.add_argument("--shots", type=_positive_int)
     p.add_argument("--tail", type=float, help="Poisson tail cutoff for enumeration")
     p.add_argument("--cutoff", type=int,
                    help="hard Fock cutoff for measure_fock instructions")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -102,17 +103,18 @@ def poisson_pmf(n: int, mean: float) -> float:
 
 
 def poisson_cutoff(mean: float, tail: float) -> int:
-    """Smallest N with P(n > N) < tail (conservative upward scan)."""
+    """Smallest N ≥ mean whose bound on P(n > N) is below `tail`.
+
+    Past the mean the Poisson terms shrink at least by the ratio
+    mean/(N+2), so P(n > N) ≤ Pois(N+1)/(1 − mean/(N+2)).  Unlike
+    1 − P(n ≤ N), this bound is not swamped by rounding near tails of 1e-15.
+    """
     if mean <= 0:
         return 0
-    n = 0
-    cum = 0.0
     limit = int(mean + 30 * math.sqrt(mean) + 60)
-    while n <= limit:
-        cum += poisson_pmf(n, mean)
-        if 1.0 - cum < tail and n >= mean:
+    for n in range(math.ceil(mean), limit):
+        if poisson_pmf(n + 1, mean) / (1.0 - mean / (n + 2)) < tail:
             return n
-        n += 1
     return limit
 
 
@@ -142,6 +144,22 @@ def _fock_collapse(state: HybridState, beam: int, n: int,
     return post, prob
 
 
+def _beam_means(state: HybridState, beam: int) -> set[float]:
+    return {abs(br.qubus[beam]) ** 2 for br in state.branches}
+
+
+def _beam_cutoff(means, tail: float) -> int:
+    """Largest Poisson cutoff over the branch means of one beam."""
+    return max((poisson_cutoff(m, tail) for m in means), default=0)
+
+
+def _normalized_post(post: HybridState, prob: float) -> HybridState:
+    if prob < sys.float_info.min:
+        # the squared amplitudes underflow: rescale before taking the norm
+        post = post.scaled(1 / max(abs(br.amp) for br in post.branches))
+    return post.scaled(1 / post.norm()).canonicalize(1e-12)
+
+
 def enumerate_fock_outcomes(state: HybridState, beam: int,
                             cutoff: Optional[int] = None,
                             tail: float = 1e-12,
@@ -154,8 +172,8 @@ def enumerate_fock_outcomes(state: HybridState, beam: int,
     projected states and sum to 1 up to the truncation tail.
     """
     state.require_beam(beam)
-    means = [abs(br.qubus[beam]) ** 2 for br in state.branches]
-    needed = max((poisson_cutoff(m, tail) for m in means), default=0)
+    means = _beam_means(state, beam)
+    needed = _beam_cutoff(means, tail)
     n_max = needed if cutoff is None else cutoff
     if n_max < needed and any(
             sum(poisson_pmf(n, m) for n in range(n_max + 1)) < 1 - 1e-9
@@ -167,8 +185,79 @@ def enumerate_fock_outcomes(state: HybridState, beam: int,
         post, prob = _fock_collapse(state, beam, n, vacuum_pointer)
         if prob <= 0:
             continue
-        out.append((n, prob, post.scaled(1 / post.norm()).canonicalize(1e-12)))
+        out.append((n, prob, _normalized_post(post, prob)))
     return out
+
+
+_CLASS_TOL = 1e-12
+
+
+def _class_amplitude(state: HybridState, beam: int) -> Optional[complex]:
+    """z when every amplitude on `beam` is 0, +z or −z (within 1e-12), else
+    None (also when every amplitude is 0)."""
+    z = None
+    for br in state.branches:
+        q = br.qubus[beam]
+        if abs(q) <= _CLASS_TOL:
+            continue
+        if z is None:
+            z = q
+        elif abs(q - z) > _CLASS_TOL and abs(q + z) > _CLASS_TOL:
+            return None
+    return z
+
+
+def fock_outcome_classes(state: HybridState, beam: int, tail: float = 1e-12,
+                         vacuum_pointer: bool = False,
+                         ) -> Optional[list[tuple[int, float, HybridState, int]]]:
+    """Fock readout of a beam whose amplitudes are 0, +z or −z, by class.
+
+    On such a beam the outcome n ≥ 1 projects onto e^{−|z|²/2}·zⁿ/√n! ·
+    (A₊ + (−1)ⁿA₋), where A± gathers the branches at ±z, so all outcomes of
+    one parity leave the same post-state up to a global phase.  The readout
+    then has three classes: n = 0, odd n, and even n ≥ 2.  Each class is one
+    (n, probability, post-state, multiplicity) tuple, the record `coalesce`
+    makes of the class's `enumerate_fock_outcomes` records:
+
+    * n is the smallest member whose probability is positive, and the
+      post-state is the collapse at that n;
+    * the probability sums Pois(n; |z|²)·‖A₊ ± A₋‖² over the members up to
+      the same Poisson cutoff, and the multiplicity counts those members.
+
+    Tuples come in increasing n.  Returns None when the beam carries any
+    other amplitudes; the caller then enumerates per n.
+    """
+    state.require_beam(beam)
+    z = _class_amplitude(state, beam)
+    if z is None:
+        return None
+    n_max = _beam_cutoff(_beam_means(state, beam), tail)
+    mean = abs(z) ** 2
+    out = []
+    post, prob = _fock_collapse(state, beam, 0, vacuum_pointer)
+    if prob > 0:
+        out.append((0, prob, _normalized_post(post, prob), 1))
+    for first, minus_sign in ((1, -1.0), (2, 1.0)):
+        # A₊ ± A₋: the zero-amplitude branches do not reach n ≥ 1
+        superposed = state.remove_beam_weighted(
+            beam, lambda br: 0.0 if abs(br.qubus[beam]) <= _CLASS_TOL
+            else 1.0 if abs(br.qubus[beam] - z) <= _CLASS_TOL else minus_sign)
+        factor = superposed.inner(superposed).real
+        weights = ((n, poisson_pmf(n, mean) * factor)
+                   for n in range(first, n_max + 1, 2))
+        members = [(n, w) for n, w in weights if w > 0]
+        # where the weights leave the float range from below, the squared
+        # collapse amplitudes underflow a few members earlier than Pois(n)
+        while members:
+            post, prob = _fock_collapse(state, beam, members[0][0],
+                                        vacuum_pointer)
+            if prob > 0:
+                break
+            members.pop(0)
+        if members:
+            out.append((members[0][0], sum(w for _, w in members),
+                        _normalized_post(post, prob), len(members)))
+    return sorted(out, key=lambda o: o[0])
 
 
 def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
@@ -285,8 +374,7 @@ def _qnd_analysis(state: HybridState, beam: int, det: DetectorParams,
     detector response.
     """
     state.require_beam(beam)
-    means = [abs(br.qubus[beam]) ** 2 for br in state.branches]
-    n_max = max((poisson_cutoff(m, tail) for m in means), default=0)
+    n_max = _beam_cutoff(_beam_means(state, beam), tail)
     if k_max is None:
         k_max = max(n_max, 1)
     bins = povm_bins(det, k_max)

@@ -23,6 +23,15 @@ qubus components; validated end to end by the gate fidelity tests):
 Measurements default to exact Fock enumeration of the measured beam; a
 realistic QND readout (with its explicit ambiguous failure records) is
 opt-in via `QndMode`.
+
+The public `c_path` and `merging` return one record per photon number n.
+Inside the composite gates every measured bus carries only the amplitudes
+0 and ±iβ, and every n ≥ 1 of one parity leaves the same corrected state up
+to a global phase.  So in exact mode the composites read each bus by outcome
+class instead: one record for n = 0, one for odd n and one for even n ≥ 2,
+each the record `coalesce` would make of that class (see
+`fock_outcome_classes`).  A bus with any other amplitudes is enumerated per
+n as before.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .detection import (
     DetectorParams,
     draw_index,
     enumerate_fock_outcomes,
+    fock_outcome_classes,
     qnd_gate_outcomes,
 )
 from .elements import ANY, ModeSelector, pbs_diag, phase_shift, photon_bs, qubus_bs, qubus_phase, xpm
@@ -82,10 +92,26 @@ class SampleMode:
 MeasureMode = Union[ExactMode, QndMode, SampleMode]
 
 
+@dataclass(frozen=True)
+class _ClassMode(ExactMode):
+    """Exact readout by outcome class, as the composite gates run it."""
+
+
+def _composite_mode(mode: Optional[MeasureMode]) -> MeasureMode:
+    mode = mode or ExactMode()
+    return _ClassMode(mode.tail) if type(mode) is ExactMode else mode
+
+
 def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
-    """(inferred n, label, probability, post-state) for each outcome."""
+    """(inferred n, label, probability, post-state, multiplicity) for each
+    outcome."""
+    if isinstance(mode, _ClassMode):
+        classes = fock_outcome_classes(state, beam, tail=mode.tail,
+                                       vacuum_pointer=True)
+        if classes is not None:
+            return [(n, ("n", n), p, post, m) for n, p, post, m in classes]
     if isinstance(mode, ExactMode):
-        return [(n, ("n", n), p, post) for n, p, post in
+        return [(n, ("n", n), p, post, 1) for n, p, post in
                 enumerate_fock_outcomes(state, beam, tail=mode.tail,
                                         vacuum_pointer=True)]
     if isinstance(mode, SampleMode):
@@ -93,9 +119,10 @@ def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
                                        vacuum_pointer=True)
         i = draw_index([p for _, p, _ in outs], mode.rng)
         n, _, post = outs[i]
-        return [(n, ("n", n), 1.0, post)]
+        return [(n, ("n", n), 1.0, post, 1)]
     if isinstance(mode, QndMode):
-        return qnd_gate_outcomes(state, beam, mode.det, mode.k_max, mode.tail)
+        return [(n, label, p, post, 1) for n, label, p, post in
+                qnd_gate_outcomes(state, beam, mode.det, mode.k_max, mode.tail)]
     raise PreconditionViolation(f"unknown measurement mode {mode!r}")
 
 
@@ -329,7 +356,7 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
     trace.log_elementary("c_path", theta, couplings=4)
 
     records = []
-    for n_hat, label, prob, post in _measure_beam(s, b1, mode):
+    for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
         corrections = []
         if n_hat is not None and n_hat != 0:
             post = post.swap_paths(path_h, path_v)
@@ -341,7 +368,7 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
         records.append(Record(labels=(label,), probability=prob,
                               state=post.canonicalize(1e-12),
                               corrections=tuple(corrections),
-                              recycled_qubus=recycled))
+                              recycled_qubus=recycled, multiplicity=mult))
     return records
 
 
@@ -522,14 +549,14 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     trace.log_elementary("merging", theta, couplings=4)
 
     records = []
-    for n_hat, label, prob, post in _measure_beam(s, b1, mode):
+    for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
         if n_hat is None:
             # ambiguous entangler readout: surfaced as a failure record
             post, recycled = _detach_if_uniform(post, b1)
             records.append(Record(labels=(label,), probability=prob,
                                   state=post.canonicalize(1e-12),
                                   corrections=("none (ambiguous)",),
-                                  recycled_qubus=recycled))
+                                  recycled_qubus=recycled, multiplicity=mult))
             continue
         corrections = []
         if n_hat != 0:
@@ -563,7 +590,7 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
             records.append(Record(
                 labels=(label, sub_label), probability=prob * sub_prob,
                 state=sub.canonicalize(1e-12), corrections=tuple(sub_corr),
-                recycled_qubus=recycled, ancilla=parked))
+                recycled_qubus=recycled, ancilla=parked, multiplicity=mult))
     return GateResult(tuple(records), trace.report())
 
 
@@ -581,6 +608,31 @@ def _apply_local(state: HybridState, photon: str, u: np.ndarray) -> HybridState:
     return state.apply_photon_unitary(photon, (home, "H"), (home, "V"), u)
 
 
+def _ancilla_for(rec: Record, ancilla: Optional[AncillaSpec]) -> AncillaSpec:
+    """The ancilla a record's next merging uses: the photon parked by an
+    earlier merging, else the caller's spec, else a fresh photon."""
+    if rec.ancilla is not None:
+        return ParkedAncilla(*rec.ancilla)
+    return ancilla if ancilla is not None else FreshAncilla()
+
+
+def _merge_stage(photon: str, pair: tuple[int, int], seat: int, home: int,
+                 flip: ModeSelector, alpha: float, theta: float,
+                 mode: MeasureMode, trace: ResourceTrace,
+                 ancilla: Optional[AncillaSpec]):
+    """Chain stage: merge `photon` from `pair` onto `seat`, then move the
+    merged photon back to `home`."""
+    get_trace = _stage_traces(trace)
+
+    def stage(rec: Record) -> list[Record]:
+        res = merging(rec.state, photon, pair, seat, alpha, theta,
+                      ancilla=_ancilla_for(rec, ancilla), companion_flip=flip,
+                      mode=mode, trace=get_trace())
+        return [replace(r, state=r.state.swap_paths(seat, home))
+                for r in res.outcomes]
+    return stage
+
+
 def controlled_pair(state: HybridState, control: str, target: str,
                     u1: np.ndarray, u2: np.ndarray, alpha: float, theta: float, *,
                     mode: Optional[MeasureMode] = None,
@@ -592,7 +644,7 @@ def controlled_pair(state: HybridState, control: str, target: str,
     and one merging gate brings the paths back together; the ancilla photon
     used by the merging is recycled and its parked location reported.
     """
-    mode = mode or ExactMode()
+    mode = _composite_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     u1 = check_unitary(np.asarray(u1, dtype=complex))
     u2 = check_unitary(np.asarray(u2, dtype=complex))
@@ -611,19 +663,9 @@ def controlled_pair(state: HybridState, control: str, target: str,
         recs = map_records(recs, lambda s: s.apply_photon_unitary(
             target, (aux, "H"), (aux, "V"), u2))
 
-    merge_trace = _stage_traces(trace)
-
-    def merge_stage(rec: Record) -> GateResult:
-        spec = ancilla
-        if spec is None:
-            spec = (ParkedAncilla(*rec.ancilla) if rec.ancilla is not None
-                    else FreshAncilla())
-        return merging(rec.state, target, (t_home, aux), seat, alpha, theta,
-                       ancilla=spec, companion_flip=ModeSelector(c_home, "V", control),
-                       mode=mode, trace=merge_trace())
-
-    recs = chain(recs, merge_stage)
-    recs = map_records(recs, lambda s: s.swap_paths(seat, t_home))
+    recs = chain(recs, _merge_stage(
+        target, (t_home, aux), seat, t_home, ModeSelector(c_home, "V", control),
+        alpha, theta, mode, trace, ancilla))
     recs = coalesce(recs)
     return GateResult(tuple(recs), trace.report())
 
@@ -688,7 +730,7 @@ def synth_two_qubit(state: HybridState, control: str, target: str,
     so the synthesis runs three controlled-path/merging rounds with one
     recycled ancilla photon.
     """
-    mode = mode or ExactMode()
+    mode = _composite_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     u = check_unitary(np.asarray(u, dtype=complex))
     params = kak_decompose(u)
@@ -703,14 +745,9 @@ def synth_two_qubit(state: HybridState, control: str, target: str,
         get_trace = _stage_traces(trace)
         out = []
         for rec in recs:
-            spec = ancilla
-            if rec.ancilla is not None:
-                spec = ParkedAncilla(*rec.ancilla)
-            elif spec is None:
-                spec = FreshAncilla()
             res = controlled_pair(rec.state, control, target, ua, ub,
                                   alpha, theta, mode=mode, trace=get_trace(),
-                                  ancilla=spec)
+                                  ancilla=_ancilla_for(rec, ancilla))
             out.extend(chain([rec], lambda _rec, res=res: res.outcomes))
         return coalesce(out)
 
@@ -756,7 +793,7 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
     exchanged (with the identical-photon labels rebound), and two merging
     gates undo the splits; one ancilla photon serves both mergings.
     """
-    mode = mode or ExactMode()
+    mode = _composite_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     c_home = _home_path(state, control)
     h1 = _home_path(state, target1)
@@ -778,25 +815,11 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
     recs = map_records(recs, lambda s: s.swap_paths(o1, o2))
     recs = map_records(recs, lambda s: _relabel_if_on_path(s, target1, target2, o2))
 
-    def merge_stage(photon, pair, seat, home):
-        get_trace = _stage_traces(trace)
-
-        def stage(rec: Record) -> GateResult:
-            spec = ancilla if rec.ancilla is None else ParkedAncilla(*rec.ancilla)
-            if spec is None:
-                spec = FreshAncilla()
-            res = merging(rec.state, photon, pair, seat, alpha, theta,
-                          ancilla=spec, companion_flip=flip, mode=mode,
-                          trace=get_trace())
-            out = [replace(r, state=r.state.swap_paths(seat, home))
-                   for r in res.outcomes]
-            return GateResult(tuple(out), res.resources)
-        return stage
-
-    recs = chain(recs, merge_stage(target1, (h1, o1), seat1, h1))
-    recs = coalesce(recs)
-    recs = chain(recs, merge_stage(target2, (h2, o2), seat2, h2))
-    recs = coalesce(recs)
+    for photon, pair, seat, home in ((target1, (h1, o1), seat1, h1),
+                                     (target2, (h2, o2), seat2, h2)):
+        recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
+                                        alpha, theta, mode, trace, ancilla))
+        recs = coalesce(recs)
     return GateResult(tuple(recs), trace.report())
 
 
@@ -813,7 +836,7 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
     most once), the flip acts on the all-V target path alone, and k merging
     gates undo the routing while reusing a single ancilla photon.
     """
-    mode = mode or ExactMode()
+    mode = _composite_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     k = len(controls)
     if k < 2:
@@ -846,21 +869,6 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
     recs = map_records(recs, lambda s: s.apply_photon_unitary(
         target, (odd[k - 1], "H"), (odd[k - 1], "V"), PAULI_X))
 
-    def merge_stage(photon, pair, seat, home, flip):
-        get_trace = _stage_traces(trace)
-
-        def stage(rec: Record) -> GateResult:
-            spec = ancilla if rec.ancilla is None else ParkedAncilla(*rec.ancilla)
-            if spec is None:
-                spec = FreshAncilla()
-            res = merging(rec.state, photon, pair, seat, alpha, theta,
-                          ancilla=spec, companion_flip=flip, mode=mode,
-                          trace=get_trace())
-            out = [replace(r, state=r.state.swap_paths(seat, home))
-                   for r in res.outcomes]
-            return GateResult(tuple(out), res.resources)
-        return stage
-
     merge_specs = [(target, (t_home, odd[k - 1]), seats[k - 1], t_home,
                     ModeSelector(flags[k - 1], "V"))]
     for j in range(k - 2, -1, -1):
@@ -868,7 +876,8 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
                             seats[j], stage_homes[j],
                             ModeSelector(flags[j], "V")))
     for photon, pair, seat, home, flip in merge_specs:
-        recs = chain(recs, merge_stage(photon, pair, seat, home, flip))
+        recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
+                                        alpha, theta, mode, trace, ancilla))
         recs = coalesce(recs)
     return GateResult(tuple(recs), trace.report())
 

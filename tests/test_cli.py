@@ -58,6 +58,34 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_circuit(json.dumps(doc))
 
+    def test_missing_op_field_is_parse_error(self, tmp_path):
+        doc = json.loads(CNOT_DOC)
+        doc["circuit"] = [{"op": "photon_bs"}]
+        with pytest.raises(ParseError, match="'paths'") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == "circuit[0]"
+        src = tmp_path / "bs.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 2
+
+    @pytest.mark.parametrize("shots", [-3, 0, 2.5, "4", True])
+    def test_shots_must_be_a_positive_int(self, tmp_path, shots):
+        doc = json.loads(CNOT_DOC)
+        doc["run"] = {"mode": "sample", "shots": shots}
+        with pytest.raises(ValidationError) as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == "run.shots"
+        src = tmp_path / "shots.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 3
+
+    def test_shots_override_must_be_positive(self, tmp_path):
+        src = tmp_path / "cnot.json"
+        src.write_text(CNOT_DOC)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(src), "--mode", "sample", "--shots", "-3"])
+        assert exc.value.code == 2
+
     def test_roundtrip(self):
         program = parse_circuit(CNOT_DOC)
         again = parse_circuit(serialize_program(program))
@@ -104,6 +132,13 @@ class TestRunProgram:
         # photon is V so the phases cancel: difference beam is vacuum
         assert len(report["records"]) == 1
         assert report["records"][0]["labels"][0] == ["3.n", 0]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in (REPO / "circuits").glob("*.json")))
+    def test_shipped_circuit_reports_are_golden(self, name):
+        text = (REPO / "circuits" / f"{name}.json").read_text()
+        golden = (REPO / "tests" / "golden" / f"{name}.json").read_text()
+        assert report_to_json(run_program(parse_circuit(text))) + "\n" == golden
 
     def test_fredkin_demo_file(self):
         text = (REPO / "circuits" / "fredkin.json").read_text()

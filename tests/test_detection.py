@@ -13,6 +13,7 @@ from qubusim.detection import (
     enumerate_fock_outcomes,
     misclassification_probability,
     peak_mean,
+    poisson_cutoff,
     poisson_pmf,
     povm_bins,
     povm_diagonals,
@@ -281,3 +282,19 @@ class TestDrawIndex:
         for k, p in enumerate(probs):
             sigma = math.sqrt(shots * p * (1 - p))
             assert abs(counts[k] - shots * p) <= 3 * sigma
+
+
+class TestPoissonCutoff:
+    @pytest.mark.parametrize("mean", [8.0, 50.0, 200.0])
+    def test_cutoff_is_where_the_summed_tail_drops_below(self, mean):
+        def tail_above(n):
+            return math.fsum(poisson_pmf(k, mean) for k in range(n + 1, n + 400))
+
+        n = poisson_cutoff(mean, 1e-15)
+        assert tail_above(n) < 1e-15 <= tail_above(n - 1)
+
+    def test_cutoffs_of_the_shipped_means_stay(self):
+        # the gate means of circuits/*.json and of the benchmark workloads
+        expected = {1.034: 14, 1.839: 18, 183.88: 287, 199.99: 307,
+                    0.0004: 3, 0.0008: 3, 0.08: 7}
+        assert {m: poisson_cutoff(m, 1e-12) for m in expected} == expected

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qubusim import detection, gates
+from qubusim.detection import enumerate_fock_outcomes, fock_outcome_classes
 from qubusim.gates import (
+    ExactMode,
     ParkedAncilla,
     ResourceTrace,
     chain,
@@ -20,7 +23,13 @@ from qubusim.gates import (
     synth_two_qubit,
     toffoli,
 )
-from qubusim.state import fidelity, product_state, state_from_amplitudes
+from qubusim.state import (
+    Branch,
+    HybridState,
+    fidelity,
+    product_state,
+    state_from_amplitudes,
+)
 from qubusim.verify import (
     extract_process_matrix,
     ideal_c_phase,
@@ -286,3 +295,145 @@ class TestRecyclingLedger:
             assert rec.state.occupants(path) == {pid}
             # only one photon beyond the three logical ones
             assert len(rec.state.photons) == 4
+
+
+# -- outcome classes against per-n enumeration ------------------------------------
+
+def assert_states_close(a, b, tol=1e-12):
+    assert a.photons == b.photons and a.n_beams == b.n_beams
+    assert len(a.branches) == len(b.branches)
+    for x, y in zip(a.branches, b.branches):
+        assert x.config == y.config and x.qubus == y.qubus
+        assert abs(x.amp - y.amp) <= tol
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.labels, g.multiplicity, g.corrections, g.ancilla,
+                g.recycled_qubus) == (w.labels, w.multiplicity, w.corrections,
+                                      w.ancilla, w.recycled_qubus)
+        assert abs(g.probability - w.probability) <= 1e-12
+        assert_states_close(g.state, w.state)
+
+
+def by_class_and_per_n(monkeypatch, run):
+    """Records and resources of `run(trace)` with outcome classes, then with
+    the class detection switched off (per-n enumeration)."""
+    trace = ResourceTrace()
+    grouped = run(trace).outcomes, trace.report()
+    monkeypatch.setattr(detection, "_class_amplitude", lambda state, beam: None)
+    trace = ResourceTrace()
+    per_n = run(trace).outcomes, trace.report()
+    return grouped, per_n
+
+
+TWO_QUBIT_GATES = {
+    "cnot": lambda st, a, t, **kw: cnot(st, "C", "T", a, t, **kw),
+    "cz": lambda st, a, t, **kw: cz(st, "C", "T", a, t, **kw),
+    "c_phase": lambda st, a, t, **kw: c_phase(st, "C", "T", 0.77, a, t, **kw),
+}
+
+MULTI_QUBIT_GATES = {
+    "toffoli": ([("C1", 0), ("C2", 1), ("T", 2)], lambda st, u, **kw: toffoli(
+        st, "C1", "C2", "T", ALPHA, THETA, **kw)),
+    "fredkin": ([("C", 0), ("T1", 1), ("T2", 2)], lambda st, u, **kw: fredkin(
+        st, "C", "T1", "T2", ALPHA, THETA, **kw)),
+    "multi_toffoli": ([("C1", 0), ("C2", 1), ("C3", 2), ("T", 3)],
+                      lambda st, u, **kw: multi_toffoli(
+                          st, ["C1", "C2", "C3"], "T", ALPHA, THETA, **kw)),
+    "synth_two_qubit": ([("C", 0), ("T", 1)], lambda st, u, **kw: synth_two_qubit(
+        st, "C", "T", u, ALPHA, THETA, **kw)),
+}
+
+
+class TestOutcomeClasses:
+    @pytest.mark.parametrize("alpha,theta", [(2.0, 0.5), (20.0, 0.5),
+                                             (1000.0, 0.01)])
+    @pytest.mark.parametrize("name", sorted(TWO_QUBIT_GATES))
+    def test_two_qubit_gates_match_per_n(self, monkeypatch, rng, name,
+                                         alpha, theta):
+        st = state_from_amplitudes(qubit_modes([("C", 0), ("T", 1)]),
+                                   random_qubit_vector(4, rng))
+        gate = TWO_QUBIT_GATES[name]
+        (got, got_res), (want, want_res) = by_class_and_per_n(
+            monkeypatch, lambda tr: gate(st, alpha, theta, trace=tr))
+        assert got_res == want_res
+        assert_same_records(got, want)
+        assert max(r.multiplicity for r in got) > 1
+
+    @pytest.mark.parametrize("name", sorted(MULTI_QUBIT_GATES))
+    def test_multi_qubit_gates_match_per_n(self, monkeypatch, rng, name):
+        qubits, gate = MULTI_QUBIT_GATES[name]
+        st = state_from_amplitudes(qubit_modes(qubits),
+                                   random_qubit_vector(2 ** len(qubits), rng))
+        u = random_unitary(4, rng)
+        (got, got_res), (want, want_res) = by_class_and_per_n(
+            monkeypatch, lambda tr: gate(st, u, trace=tr))
+        assert got_res == want_res
+        assert_same_records(got, want)
+
+
+def class_beam_state(z: complex) -> HybridState:
+    """Beam 0 carries 0, +z and −z; two branches share a photon mode and
+    overlap on beam 1, so the odd and even classes weigh differently."""
+    branches = (
+        Branch(0.5 + 0j, ((0, 0),), (0j, 0.4 + 0j)),
+        Branch(0.5 + 0j, ((1, 0),), (z, 0.4 + 0.2j)),
+        Branch(0.5j, ((1, 0),), (-z, -0.3j)),
+        Branch(-0.5 + 0j, ((2, 1),), (-z, 0.1 + 0j)),
+    )
+    return HybridState(("p",), frozenset({0, 1, 2}), 2, branches).normalized()
+
+
+def per_n_classes(state, tail):
+    """The per-n records of each class: (first n, summed probability,
+    count, state at the first n)."""
+    groups = {}
+    for n, p, post in enumerate_fock_outcomes(state, 0, tail=tail,
+                                              vacuum_pointer=True):
+        key = 0 if n == 0 else 2 - n % 2
+        first, total, count, rep = groups.get(key, (n, 0.0, 0, post))
+        groups[key] = (first, total + p, count + 1, rep)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+class TestFockOutcomeClasses:
+    @pytest.mark.parametrize("mean", [0.08, 1.839, 8.0, 50.0, 200.0, 800.0])
+    def test_classes_sum_the_per_n_records(self, mean):
+        st = class_beam_state(1j * math.sqrt(mean))
+        classes = fock_outcome_classes(st, 0, tail=1e-12, vacuum_pointer=True)
+        expected = per_n_classes(st, 1e-12)
+        assert [(n, m) for n, _, _, m in classes] == [
+            (n, m) for n, _, m, _ in expected]
+        for (_, p, post, _), (_, q, _, rep) in zip(classes, expected):
+            assert abs(p - q) <= 1e-12
+            assert_states_close(post, rep)
+        odd, even = classes[1][1], classes[2][1]
+        assert abs(odd - even) > 1e-3 * (odd + even)
+
+    def test_label_is_smallest_n_with_positive_probability(self):
+        # at mean 800 the low-n Poisson weights underflow to 0
+        st = class_beam_state(1j * math.sqrt(800.0))
+        assert detection.poisson_pmf(1, 800.0) == 0.0
+        classes = fock_outcome_classes(st, 0, vacuum_pointer=True)
+        labels = [n for n, _, _, _ in classes]
+        assert labels[0] == 0 and labels[1] > 2
+        assert labels == [n for n, _, _, _ in per_n_classes(st, 1e-12)]
+        # the Born weight at the label is subnormal; the state stays normalized
+        for _, _, post, _ in classes:
+            assert post.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_other_amplitudes_fall_back_to_per_n(self):
+        z = 1.3 + 0.4j
+        st = HybridState(("p",), frozenset({0, 1}), 1, (
+            Branch(0.6 + 0j, ((0, 0),), (z,)),
+            Branch(0.8 + 0j, ((1, 0),), (1j * z,)),
+        ))
+        assert fock_outcome_classes(st, 0) is None
+        grouped = gates._measure_beam(st, 0, gates._ClassMode())
+        per_n = gates._measure_beam(st, 0, ExactMode())
+        assert len(grouped) == len(per_n) > 3
+        for g, w in zip(grouped, per_n):
+            assert g[:3] == w[:3] and g[4] == w[4] == 1
+            assert_states_close(g[3], w[3], tol=0.0)
