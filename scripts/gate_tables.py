@@ -9,14 +9,14 @@ import sys
 
 import numpy as np
 
-from qubusim.cli import _gate_catalog
+from qubusim.cli import gate_catalog
 from qubusim.verify import extract_process_matrix, matrix_residual_up_to_phase
 
 
 def main():
     alpha = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
     theta = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
-    for name, (nq, runner, ideal) in _gate_catalog(alpha, theta).items():
+    for name, (nq, runner, ideal) in gate_catalog(alpha, theta).items():
         qubits = [(f"q{i}", i) for i in range(nq)]
         matrix = extract_process_matrix(runner, qubits)
         residual = matrix_residual_up_to_phase(matrix, ideal)

@@ -91,6 +91,8 @@ REQUIRED_FIELDS = {
     "multi_toffoli": {"controls": list, "target": str},
 }
 INSTRUCTIONS = tuple(REQUIRED_FIELDS)
+# fields naming two paths (photon_bs/swap_paths, c_path, merging)
+_PATH_PAIRS = ("paths", "target_paths", "source_paths")
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,31 @@ def _parse_matrix(val, dim: int, where: str) -> np.ndarray:
             raise ParseError(f"matrix must be {dim}x{dim}", where)
         rows.append([_parse_complex(x, f"{where}[{i}]") for x in row])
     return np.array(rows, dtype=complex)
+
+
+def _check_references(ins: dict, ids: set, where: str) -> None:
+    """Path pairs hold two path numbers, photon references name known
+    photons, and the photon ids of merging's ancilla and companion_flip
+    objects are strings."""
+    for key in _PATH_PAIRS:
+        if key in ins and not (isinstance(ins[key], list) and len(ins[key]) == 2
+                               and all(isinstance(p, int) for p in ins[key])):
+            raise ParseError(f"field {key!r} must be a pair of path numbers", where)
+    refs = [(key, ins[key]) for key in ("photon", "control", "target") if key in ins]
+    for key in ("controls", "targets"):
+        if key in ins:
+            refs += [(key, pid) for pid in _need(ins, key, list, where)]
+    for key, pid in refs:
+        if not isinstance(pid, str):
+            raise ParseError(f"field {key!r} must hold photon ids", where)
+        if pid not in ids:
+            raise ValidationError(f"unknown photon {pid!r}", where)
+    for key in ("ancilla", "companion_flip"):
+        sub = ins.get(key, {})
+        if not isinstance(sub, dict):
+            raise ParseError(f"field {key!r} must be an object", where)
+        if not isinstance(sub.get("photon", ""), str):
+            raise ParseError("field 'photon' must be a photon id", f"{where}.{key}")
 
 
 def parse_circuit(text: str) -> CircuitProgram:
@@ -219,14 +246,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             _need(ins, key, kind, where)
         if op == "merging":
             _need(ins["companion_flip"], "path", int, f"{where}.companion_flip")
-        for key in ("photon", "control", "target"):
-            if key in ins and ins[key] not in ids:
-                raise ValidationError(f"unknown photon {ins[key]!r}", where)
-        for key in ("controls", "targets"):
-            if key in ins:
-                for pid in ins[key]:
-                    if pid not in ids:
-                        raise ValidationError(f"unknown photon {pid!r}", where)
+        _check_references(ins, ids, where)
         # matrices are validated eagerly so malformed programs fail at parse
         if op == "photon_unitary":
             _parse_matrix(_need(ins, "matrix", list, where), 2, where)
@@ -236,7 +256,7 @@ def parse_circuit(text: str) -> CircuitProgram:
         if op == "two_qubit":
             _parse_matrix(_need(ins, "matrix", list, where), 4, where)
         instructions.append(dict(ins))
-        for key in ("paths", "target_paths", "source_paths"):
+        for key in _PATH_PAIRS:
             if key in ins:
                 known_paths |= set(ins[key])
 

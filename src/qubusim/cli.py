@@ -40,8 +40,9 @@ from .verify import (
 GATE_TOL = 1e-8
 
 
-def _gate_catalog(alpha: float, theta: float):
-    """name -> (qubit count, runner, ideal matrix)"""
+def gate_catalog(alpha: float, theta: float):
+    """The built-in gates of `verify-gate`: name -> (qubit count, runner,
+    ideal matrix), with runners bound to alpha and theta."""
     def two(f):
         return lambda st: f(st, "q0", "q1", alpha, theta).outcomes
 
@@ -118,7 +119,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_gate(args) -> int:
-    catalog = _gate_catalog(args.alpha, args.theta)
+    catalog = gate_catalog(args.alpha, args.theta)
     if args.gate not in catalog:
         print(f"unknown gate {args.gate!r}; choose from {sorted(catalog)}",
               file=sys.stderr)

@@ -8,13 +8,23 @@ efficiency η whose diagonal POVM elements are
 
     Π0      = Σ (1−η)^m |m⟩⟨m|                      (no response),
     Π_{n_k} = Σ_{m=n_k}^{n_k'} [1 − (1−η)^m] |m⟩⟨m|  (k-th Poisson peak),
-    Π_E     = 1 − Π0 − Σ_k Π_{n_k}                   (ambiguous response).
+    Π_E     = 1 − Π0 − Σ_k Π_{n_k}                   (ambiguous response)
+            = Σ_{m uncovered} [1 − (1−η)^m] |m⟩⟨m|,
+
+where the uncovered m lie below the first peak bin or above the last.
+
+The detector response is one array per probe mean: the Poisson window of
+the difference mode (±40σ) is evaluated once, and each outcome sums its
+slice of it; Π_E sums the uncovered slices directly rather than taking the
+complement, so its small weights are not rounding noise.  `response_matrix`
+stacks these rows into R[n, o] for the signal Fock numbers n.
 
 Outcome probabilities are computed exactly (including interference between
-non-orthogonal branches through the discarded probe modes).  Post-measurement
-states are kept pure by weighting each branch with the root of its POVM
-response, which is exact whenever branches with distinct signal amplitudes
-are orthogonal on the photon side — true in every gate pipeline here.
+non-orthogonal branches through the discarded probe modes), as one product
+of the per-amplitude Fock vectors with R.  Post-measurement states are kept
+pure by weighting each branch with the root of its POVM response, which is
+exact whenever branches with distinct signal amplitudes are orthogonal on
+the photon side — true in every gate pipeline here.
 
 Direct Fock projection removes the measured beam from the registry (a Fock
 state is not representable by a coherent label).  By default the collapse is
@@ -40,7 +50,7 @@ from .errors import (
     CutoffTooSmall,
     PreconditionViolation,
 )
-from .state import Branch, HybridState, coherent_overlap
+from .state import HybridState, coherent_overlap
 
 VACUUM = "vacuum"
 PEAK = "peak"
@@ -322,84 +332,143 @@ def povm_diagonals(det: DetectorParams, bins: PovmBins, dim: int) -> dict:
     m = np.arange(dim)
     pi0 = (1.0 - det.eta) ** m
     peaks = {}
-    for k, lo, hi in bins.bins:
-        if k == 0:
-            continue
-        diag = np.zeros(dim)
+    covered = np.zeros(dim, dtype=bool)
+    for k, lo, hi in bins.bins[1:]:
         sel = (m >= lo) & (m <= min(hi, dim - 1))
-        diag[sel] = 1.0 - (1.0 - det.eta) ** m[sel]
-        peaks[k] = diag
-    pie = 1.0 - pi0 - sum(peaks.values())
+        peaks[k] = np.where(sel, 1.0 - pi0, 0.0)
+        covered |= sel
+    pie = np.where(covered, 0.0, 1.0 - pi0)
     return {"pi0": pi0, "peaks": peaks, "pie": pie}
 
 
-def _response_weights(det: DetectorParams, bins: PovmBins, probe_mean: float) -> dict:
-    """P(outcome | difference mode in a coherent state of mean `probe_mean`)."""
-    w = {(VACUUM, None): math.exp(-det.eta * probe_mean)}
-    total = w[(VACUUM, None)]
-    for k, lo, hi in bins.bins:
-        if k == 0:
-            continue
-        if probe_mean > 0:
-            sigma = math.sqrt(probe_mean)
-            lo_eff = max(lo, int(probe_mean - 40 * sigma - 10))
-            hi_eff = min(hi, int(probe_mean + 40 * sigma + 10))
-        else:
-            lo_eff, hi_eff = lo, hi
-        s = 0.0
-        for mm in range(lo_eff, hi_eff + 1):
-            s += poisson_pmf(mm, probe_mean) * (1.0 - (1.0 - det.eta) ** mm)
-        w[(PEAK, k)] = s
-        total += s
-    w[(AMBIGUOUS, None)] = max(0.0, 1.0 - total)
-    return w
+def outcome_keys(k_max: int) -> list:
+    """The (tag, k) outcome alphabet in response-row order: vacuum, peak
+    1..k_max, ambiguous.  Peak k sits at column k."""
+    return [(VACUUM, None)] + [(PEAK, k) for k in range(1, k_max + 1)] \
+        + [(AMBIGUOUS, None)]
 
 
-def response_matrix(det: DetectorParams, bins: PovmBins, n_max: int) -> dict:
-    """P(outcome | signal Fock n) for n = 0..n_max."""
-    table = {}
-    for n in range(n_max + 1):
-        table[n] = _response_weights(det, bins, peak_mean(det, n))
-    return table
+def _poisson_window(mean: float, lo: int, hi: int) -> np.ndarray:
+    """Pois(m; mean) for m = lo..hi, a window around the mode ⌊mean⌋ that
+    holds all but a negligible share of the mass (±40σ in `_response_row`).
+
+    The log-ratios log(mean/m) are summed outward from the mode and the
+    window is normalized to 1, so no term carries the rounding of
+    −mean + m·log(mean) − log m!, which grows with the mean.
+    """
+    mode = int(mean)
+    up = np.cumsum(np.log(mean / np.arange(mode + 1, hi + 1)))
+    down = np.cumsum(np.log(np.arange(mode, lo, -1) / mean))[::-1]
+    weights = np.exp(np.concatenate((down, [0.0], up)))
+    return weights / weights.sum()
+
+
+def _click_probability(eta: float, m: np.ndarray) -> np.ndarray:
+    """1 − (1−η)^m: the chance that the detector responds to m photons."""
+    if eta >= 1:
+        return (m > 0).astype(float)
+    return -np.expm1(m * math.log1p(-eta))
+
+
+def _response_row(det: DetectorParams, bins: PovmBins, probe_mean: float) -> np.ndarray:
+    """P(outcome | difference mode in a coherent state of mean `probe_mean`),
+    in `outcome_keys` order.
+
+    Each peak sums Pois(m)·(1−(1−η)^m) over its Fock range within ±40σ of
+    the mean; Π_E sums the same terms over the m that no peak bin covers.
+    """
+    row = np.zeros(len(bins.bins) + 1)
+    row[0] = math.exp(-det.eta * probe_mean)
+    if probe_mean <= 0:
+        return row  # all the weight sits at m = 0
+    sigma = math.sqrt(probe_mean)
+    lo = max(0, int(probe_mean - 40 * sigma - 10))
+    hi = int(probe_mean + 40 * sigma + 10)
+    terms = _poisson_window(probe_mean, lo, hi) * _click_probability(
+        det.eta, np.arange(lo, hi + 1))
+
+    def window_sum(first: int, last: int) -> float:
+        return terms[max(first, lo) - lo:max(min(last, hi) + 1 - lo, 0)].sum()
+
+    for k, first, last in bins.bins[1:]:
+        row[k] = window_sum(first, last)
+    row[-1] = window_sum(0, bins.bins[0][2]) + window_sum(bins.bins[-1][2] + 1, hi)
+    return row
+
+
+def response_matrix(det: DetectorParams, bins: PovmBins, n_max: int) -> np.ndarray:
+    """R[n, o] = P(outcome o | signal Fock n) for n = 0..n_max, outcomes in
+    `outcome_keys(bins.k_max)` order."""
+    return np.array([_response_row(det, bins, peak_mean(det, n))
+                     for n in range(n_max + 1)])
 
 
 # -- the QND module -----------------------------------------------------------
 
+def _fock_amps(beta: complex, n_max: int) -> np.ndarray:
+    """⟨n|β⟩ for n = 0..n_max, the vector form of `_fock_amp`."""
+    out = np.zeros(n_max + 1, dtype=complex)
+    r = abs(beta)
+    if r == 0:
+        out[0] = 1.0
+        return out
+    n = np.arange(n_max + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    return np.exp(-0.5 * r * r + n * math.log(r) - 0.5 * log_fact
+                  + 1j * cmath.phase(beta) * n)
+
+
+@dataclass(frozen=True)
+class _QndAnalysis:
+    """Outcome probabilities of one QND readout, plus the root of the POVM
+    response √(Σ_n |⟨n|a⟩|²·R[n, o]) of every distinct beam amplitude a."""
+
+    outcomes: list
+    probs: list
+    roots: dict
+
+    def weighted_post(self, state: HybridState, beam: int, o: int) -> HybridState:
+        """The beam removed and each branch scaled by its response root."""
+        return state.remove_beam_weighted(
+            beam, lambda br: self.roots[br.qubus[beam]][o])
+
+
 def _qnd_analysis(state: HybridState, beam: int, det: DetectorParams,
-                  k_max: Optional[int], tail: float):
+                  k_max: Optional[int], tail: float) -> _QndAnalysis:
     """Shared outcome-probability analysis for the QND readout.
 
     Probabilities are exact: cross terms between branches that are not
     orthogonal in the photon/other-beam sector are carried through the
-    detector response.
+    detector response.  With F_a the Fock amplitudes of beam amplitude a and
+    M[a, b] the summed rest-of-state overlaps of the branch pairs at (a, b),
+    P(o) = Re Σ_ab M[a, b]·(F_a ∘ F̄_b) @ R[:, o].
     """
     state.require_beam(beam)
     n_max = _beam_cutoff(_beam_means(state, beam), tail)
     if k_max is None:
         k_max = max(n_max, 1)
-    bins = povm_bins(det, k_max)
-    resp = response_matrix(det, bins, n_max)
-    outcomes = [(VACUUM, None)] + [(PEAK, k) for k in range(1, k_max + 1)] \
-        + [(AMBIGUOUS, None)]
-    probs = {o: 0.0 for o in outcomes}
-    rest = [Branch(br.amp, br.config, br.qubus[:beam] + br.qubus[beam + 1:])
-            for br in state.branches]
-    for i, bi in enumerate(state.branches):
-        for j, bj in enumerate(state.branches):
-            if rest[i].config != rest[j].config:
-                continue
-            ov = rest[j].amp.conjugate() * rest[i].amp
-            for qa, qb in zip(rest[j].qubus, rest[i].qubus):
-                ov *= coherent_overlap(qa, qb)
-            if ov == 0:
-                continue
-            for o in outcomes:
-                s = 0j
-                for n in range(n_max + 1):
-                    s += (_fock_amp(bi.qubus[beam], n)
-                          * _fock_amp(bj.qubus[beam], n).conjugate() * resp[n][o])
-                probs[o] += (ov * s).real
-    return bins, resp, n_max, outcomes, probs
+    resp = response_matrix(det, povm_bins(det, k_max), n_max)
+    index = {}
+    for br in state.branches:
+        index.setdefault(br.qubus[beam], len(index))
+    fock = np.array([_fock_amps(a, n_max) for a in index])
+    by_config = {}
+    for br in state.branches:
+        by_config.setdefault(br.config, []).append(br)
+    overlaps = np.zeros((len(index), len(index)), dtype=complex)
+    for group in by_config.values():
+        for bi in group:
+            for bj in group:
+                ov = bj.amp.conjugate() * bi.amp
+                for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
+                    if c != beam:
+                        ov *= coherent_overlap(qa, qb)
+                overlaps[index[bi.qubus[beam]], index[bj.qubus[beam]]] += ov
+    density = np.einsum("an,ab,bn->n", fock, overlaps, fock.conj()).real
+    roots = np.sqrt(np.abs(fock) ** 2 @ resp).tolist()
+    return _QndAnalysis(outcomes=outcome_keys(k_max),
+                        probs=(density @ resp).tolist(),
+                        roots=dict(zip(index, roots)))
 
 
 def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
@@ -412,22 +481,15 @@ def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
     a single sampled pair for mode="sample".  The measured beam is removed;
     each branch is reweighted by the root of its POVM response.
     """
-    _, resp, n_max, outcomes, probs = _qnd_analysis(state, beam, det, k_max, tail)
-
-    def branch_weight(br: Branch, o) -> float:
-        total = 0.0
-        for n in range(n_max + 1):
-            total += abs(_fock_amp(br.qubus[beam], n)) ** 2 * resp[n][o]
-        return math.sqrt(max(total, 0.0))
-
+    analysis = _qnd_analysis(state, beam, det, k_max, tail)
     results = []
-    for o in outcomes:
-        p = max(probs[o], 0.0)
-        outcome = PovmOutcome(tag=o[0], k=o[1], probability=p)
+    for i, (tag, k) in enumerate(analysis.outcomes):
+        p = max(analysis.probs[i], 0.0)
+        outcome = PovmOutcome(tag=tag, k=k, probability=p)
         if p <= 1e-300:
             results.append((outcome, None))
             continue
-        post = state.remove_beam_weighted(beam, lambda br, o=o: branch_weight(br, o))
+        post = analysis.weighted_post(state, beam, i)
         results.append((outcome, post.scaled(1 / post.norm()).canonicalize(1e-12)))
 
     if mode == "enumerate":
@@ -451,13 +513,12 @@ def qnd_gate_outcomes(state: HybridState, beam: int, det: DetectorParams,
     is what the classically fed-forward corrections act on.  Ambiguous
     records carry the uncorrectable response-weighted state and n = None.
     """
-    _, resp, n_max, outcomes, probs = _qnd_analysis(state, beam, det, k_max, tail)
+    analysis = _qnd_analysis(state, beam, det, k_max, tail)
     results = []
-    for o in outcomes:
-        p = max(probs[o], 0.0)
+    for i, (tag, k) in enumerate(analysis.outcomes):
+        p = max(analysis.probs[i], 0.0)
         if p <= 1e-300:
             continue
-        tag, k = o
         if tag == VACUUM:
             n_hat = 0
             post, _ = _fock_collapse(state, beam, 0, vacuum_pointer=True)
@@ -468,14 +529,7 @@ def qnd_gate_outcomes(state: HybridState, beam: int, det: DetectorParams,
             label = ("qnd_peak", k)
         else:
             n_hat = None
-
-            def w_amb(br: Branch) -> float:
-                total = 0.0
-                for n in range(n_max + 1):
-                    total += abs(_fock_amp(br.qubus[beam], n)) ** 2 * resp[n][o]
-                return math.sqrt(max(total, 0.0))
-
-            post = state.remove_beam_weighted(beam, w_amb)
+            post = analysis.weighted_post(state, beam, i)
             label = ("qnd", "ambiguous")
         norm = post.norm()
         if norm == 0:
@@ -495,15 +549,9 @@ def misclassification_probability(det: DetectorParams, signal_mean: float,
     n_max = poisson_cutoff(signal_mean, tail)
     if k_max is None:
         k_max = max(n_max, 1)
-    bins = povm_bins(det, k_max)
-    resp = response_matrix(det, bins, n_max)
-    correct = 0.0
-    for n in range(n_max + 1):
-        want = (VACUUM, None) if n == 0 else (PEAK, n)
-        if n > k_max:
-            continue
-        correct += poisson_pmf(n, signal_mean) * resp[n][want]
-    return 1.0 - correct
+    resp = response_matrix(det, povm_bins(det, k_max), n_max).tolist()
+    return 1.0 - sum(poisson_pmf(n, signal_mean) * resp[n][n]
+                     for n in range(min(n_max, k_max) + 1))
 
 
 def simulate_readout(det: DetectorParams, signal_mean: float, shots: int,
@@ -514,16 +562,13 @@ def simulate_readout(det: DetectorParams, signal_mean: float, shots: int,
     n_max = poisson_cutoff(signal_mean, tail)
     if k_max is None:
         k_max = max(n_max, 1)
-    bins = povm_bins(det, k_max)
-    resp = response_matrix(det, bins, n_max)
+    resp = response_matrix(det, povm_bins(det, k_max), n_max).tolist()
+    keys = outcome_keys(k_max)
     pois = [poisson_pmf(n, signal_mean) for n in range(n_max + 1)]
-    outcome_lists = {n: list(resp[n].items()) for n in range(n_max + 1)}
     records = []
     for _ in range(shots):
         n = draw_index(pois, rng)
-        keys = [k for k, _ in outcome_lists[n]]
-        ps = [p for _, p in outcome_lists[n]]
-        o = keys[draw_index(ps, rng)]
+        o = keys[draw_index(resp[n], rng)]
         records.append((n, o[0], o[1]))
     return records
 
@@ -556,14 +601,10 @@ def detection_error_exact(alpha: float, theta: float, det: DetectorParams,
 def vacuum_response_probability(alpha: float, theta: float, det: DetectorParams,
                                 tail: float = 1e-15) -> float:
     """Σ_{n≥0} Pois(n; |β|²) · e^{−η|γ|²(1−cos nθp)}: the total probability
-    that the detector stays silent on the ±β signal (the n = 0 term, a
-    correct classification, included)."""
-    mean = signal_mean_from_gate(alpha, theta)
-    n_max = poisson_cutoff(mean, tail)
-    total = 0.0
-    for n in range(n_max + 1):
-        total += poisson_pmf(n, mean) * math.exp(-det.eta * peak_mean(det, n))
-    return total
+    that the detector stays silent on the ±β signal, i.e. the n = 0 term
+    e^{−|β|²} (a correct classification) plus `detection_error_exact`."""
+    return (math.exp(-signal_mean_from_gate(alpha, theta))
+            + detection_error_exact(alpha, theta, det, tail))
 
 
 def detection_error_eq11(alpha: float, theta: float, det: DetectorParams) -> float:

@@ -48,7 +48,10 @@ from .detection import (
     draw_index,
     enumerate_fock_outcomes,
     fock_outcome_classes,
+    povm_bins,
     qnd_gate_outcomes,
+    response_matrix,
+    sample_fock,
 )
 from .elements import ANY, ModeSelector, pbs_diag, phase_shift, photon_bs, qubus_bs, qubus_phase, xpm
 from .errors import PreconditionViolation
@@ -115,10 +118,8 @@ def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
                 enumerate_fock_outcomes(state, beam, tail=mode.tail,
                                         vacuum_pointer=True)]
     if isinstance(mode, SampleMode):
-        outs = enumerate_fock_outcomes(state, beam, tail=mode.tail,
-                                       vacuum_pointer=True)
-        i = draw_index([p for _, p, _ in outs], mode.rng)
-        n, _, post = outs[i]
+        n, post = sample_fock(state, beam, mode.rng, tail=mode.tail,
+                              vacuum_pointer=True)
         return [(n, ("n", n), 1.0, post, 1)]
     if isinstance(mode, QndMode):
         return [(n, label, p, post, 1) for n, label, p, post in
@@ -456,13 +457,9 @@ def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],
         return results
 
     if isinstance(mode, QndMode):
-        from .detection import povm_bins, response_matrix
-        det = mode.det
-        bins = povm_bins(det, 1)
-        resp = response_matrix(det, bins, 1)
-        w_peak = resp[1][("peak", 1)]
-        w_vac = resp[1][("vacuum", None)]
-        w_amb = resp[1][("ambiguous", None)]
+        # the photon is one Fock quantum on the located path
+        resp = response_matrix(mode.det, povm_bins(mode.det, 1), 1)
+        w_vac, w_peak, w_amb = resp[1].tolist()
         results = []
         for t, p, sub in clean:
             results.append((t, ("qnd_path", t), p * w_peak, sub, True))

@@ -68,6 +68,32 @@ class TestParsing:
         src.write_text(json.dumps(doc))
         assert main(["run", str(src)]) == 2
 
+    @pytest.mark.parametrize("ins,field,location", [
+        ({"op": "photon_bs", "paths": [0]}, "paths", "circuit[0]"),
+        ({"op": "phase_shift", "path": 0, "phi": 1, "photon": ["a"]},
+         "photon", "circuit[0]"),
+        ({"op": "swap_paths", "paths": [[0], 1]}, "paths", "circuit[0]"),
+        ({"op": "c_path", "control": "C", "target": "T", "target_paths": [1, 2, 3]},
+         "target_paths", "circuit[0]"),
+        ({"op": "toffoli", "controls": [["C"]], "target": "T"}, "controls",
+         "circuit[0]"),
+        ({"op": "merging", "photon": "T", "source_paths": [1, 2], "dest": 3,
+          "companion_flip": {"path": 0, "photon": ["C"]}}, "photon",
+         "circuit[0].companion_flip"),
+        ({"op": "merging", "photon": "T", "source_paths": [1, 2], "dest": 3,
+          "companion_flip": {"path": 0}, "ancilla": 5}, "ancilla", "circuit[0]"),
+    ])
+    def test_malformed_references_are_parse_errors(self, tmp_path, ins, field,
+                                                   location):
+        doc = json.loads(CNOT_DOC)
+        doc["circuit"] = [ins]
+        with pytest.raises(ParseError, match=f"'{field}'") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == location
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 2
+
     @pytest.mark.parametrize("shots", [-3, 0, 2.5, "4", True])
     def test_shots_must_be_a_positive_int(self, tmp_path, shots):
         doc = json.loads(CNOT_DOC)

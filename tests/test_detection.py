@@ -3,27 +3,35 @@ import math
 import numpy as np
 import pytest
 
+from qubusim import gates
 from qubusim.detection import (
+    AMBIGUOUS,
     PEAK,
     VACUUM,
     DetectorParams,
+    PovmBins,
+    _fock_amp,
+    _qnd_analysis,
     detection_error_eq11,
     detection_error_exact,
     draw_index,
     enumerate_fock_outcomes,
     misclassification_probability,
+    outcome_keys,
     peak_mean,
     poisson_cutoff,
     poisson_pmf,
     povm_bins,
     povm_diagonals,
     qnd_detect,
+    qnd_gate_outcomes,
+    response_matrix,
     sample_fock,
     simulate_readout,
     vacuum_response_probability,
 )
 from qubusim.errors import BinsOverlap, CutoffTooSmall
-from qubusim.state import Branch, HybridState, product_state
+from qubusim.state import Branch, HybridState, coherent_overlap, product_state
 
 
 def two_component_state(beta: float, quiet_amp: complex, live_amp: complex,
@@ -298,3 +306,163 @@ class TestPoissonCutoff:
         expected = {1.034: 14, 1.839: 18, 183.88: 287, 199.99: 307,
                     0.0004: 3, 0.0008: 3, 0.08: 7}
         assert {m: poisson_cutoff(m, 1e-12) for m in expected} == expected
+
+
+# -- the array response against the term-by-term sums it replaced ------------
+
+def reference_response_weights(det, bins, probe_mean):
+    """P(outcome | probe mean) summed one Poisson term at a time, the
+    ambiguous weight taken as the complement."""
+    w = {(VACUUM, None): math.exp(-det.eta * probe_mean)}
+    total = w[(VACUUM, None)]
+    for k, lo, hi in bins.bins[1:]:
+        if probe_mean > 0:
+            sigma = math.sqrt(probe_mean)
+            lo_eff = max(lo, int(probe_mean - 40 * sigma - 10))
+            hi_eff = min(hi, int(probe_mean + 40 * sigma + 10))
+        else:
+            lo_eff, hi_eff = lo, hi
+        s = 0.0
+        for mm in range(lo_eff, hi_eff + 1):
+            s += poisson_pmf(mm, probe_mean) * (1.0 - (1.0 - det.eta) ** mm)
+        w[(PEAK, k)] = s
+        total += s
+    w[(AMBIGUOUS, None)] = max(0.0, 1.0 - total)
+    return w
+
+
+def reference_qnd_analysis(state, beam, det, k_max, tail):
+    """Outcome probabilities and response roots by the pairwise loop over
+    branches, outcomes and photon numbers."""
+    n_max = max((poisson_cutoff(abs(br.qubus[beam]) ** 2, tail)
+                 for br in state.branches), default=0)
+    if k_max is None:
+        k_max = max(n_max, 1)
+    bins = povm_bins(det, k_max)
+    resp = [reference_response_weights(det, bins, peak_mean(det, n))
+            for n in range(n_max + 1)]
+    outcomes = list(resp[0])
+    probs = {o: 0.0 for o in outcomes}
+    for bi in state.branches:
+        for bj in state.branches:
+            if bi.config != bj.config:
+                continue
+            ov = bj.amp.conjugate() * bi.amp
+            for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
+                if c != beam:
+                    ov *= coherent_overlap(qa, qb)
+            for o in outcomes:
+                s = 0j
+                for n in range(n_max + 1):
+                    s += (_fock_amp(bi.qubus[beam], n)
+                          * _fock_amp(bj.qubus[beam], n).conjugate() * resp[n][o])
+                probs[o] += (ov * s).real
+    roots = {br.qubus[beam]: [math.sqrt(max(sum(
+        abs(_fock_amp(br.qubus[beam], n)) ** 2 * resp[n][o]
+        for n in range(n_max + 1)), 0.0)) for o in outcomes]
+        for br in state.branches}
+    return probs, roots
+
+
+def midpoint_bins(det, k_max):
+    """`povm_bins`' midpoint placement without its 3σ guard, so that every
+    detector of the grid below has bins."""
+    means = [peak_mean(det, k) for k in range(k_max + 2)]
+    bounds = [int(0.5 * (means[k] + means[k + 1])) for k in range(k_max + 1)]
+    bins = [(0, 0, bounds[0])] + [(k, bounds[k - 1] + 1, bounds[k])
+                                  for k in range(1, k_max + 1)]
+    return PovmBins(gamma=det.gamma, theta_p=det.theta_p, bins=tuple(bins))
+
+
+DETECTOR_GRID = [(eta, gamma, theta_p) for eta in (0.3, 0.9, 1.0)
+                 for gamma in (40.0, 100.0, 200.0) for theta_p in (0.1, 0.15)]
+
+
+class TestResponseArrays:
+    @pytest.mark.parametrize("eta,gamma,theta_p", DETECTOR_GRID)
+    def test_rows_match_the_term_by_term_sum(self, eta, gamma, theta_p):
+        # every n up to the cutoff of a mean-2 signal; probe means reach 8e4
+        det = DetectorParams(eta, gamma, theta_p)
+        n_max = poisson_cutoff(2.0, 1e-12)
+        k_max = min(n_max, int(math.pi / theta_p) - 1)
+        bins = midpoint_bins(det, k_max)
+        got = response_matrix(det, bins, n_max)
+        assert got.shape == (n_max + 1, k_max + 2)
+        for n in range(n_max + 1):
+            want = reference_response_weights(det, bins, peak_mean(det, n))
+            assert list(want) == outcome_keys(k_max)
+            assert got[n].tolist() == pytest.approx(list(want.values()), abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+    def test_ambiguous_weight_sums_the_uncovered_photon_numbers(self, eta):
+        det = DetectorParams(eta, 200.0, 0.1)
+        bins = povm_bins(det, 12)
+        below, above = bins.bins[1][1], bins.bins[-1][2] + 1
+        resp = response_matrix(det, bins, 12)
+        for n in range(13):
+            mean = peak_mean(det, n)
+            top = int(mean + 50 * math.sqrt(mean) + 50)
+            want = math.fsum(poisson_pmf(m, mean) * (1.0 - (1.0 - eta) ** m)
+                             for m in [*range(1, below), *range(above, top)])
+            assert abs(resp[n, -1] - want) <= 1e-13
+            assert resp[n, -1] == pytest.approx(want, rel=1e-8, abs=0)
+
+    def test_ambiguous_weight_spot_values(self):
+        # 50-digit sums over the uncovered photon numbers; the complement
+        # 1 − Σ(other outcomes) read 0, 4.3e-12 and 1.4e-11 here
+        det = DetectorParams(0.9, 200.0, 0.1)
+        resp = response_matrix(det, povm_bins(det, 12), 12)
+        assert resp[1, -1] == pytest.approx(2.00726165525e-15, rel=1e-9, abs=0)
+        assert resp[6, -1] == 0.0
+        assert resp[12, -1] == pytest.approx(4.20818524906e-32, rel=1e-9, abs=0)
+
+
+class TestQndAnalysisArrays:
+    @staticmethod
+    def recorded_readouts(monkeypatch, gate, alpha, gamma):
+        """The (state, beam, det, k_max, tail) of every QND readout of a gate."""
+        seen = []
+
+        def recording(state, beam, det, k_max=None, tail=1e-12):
+            seen.append((state, beam, det, k_max, tail))
+            return qnd_gate_outcomes(state, beam, det, k_max, tail)
+
+        monkeypatch.setattr(gates, "qnd_gate_outcomes", recording)
+        st = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
+        det = DetectorParams(0.9, gamma, 0.1)
+        getattr(gates, gate)(st, "C", "T", alpha, 0.5, mode=gates.QndMode(det))
+        assert seen
+        return seen
+
+    @staticmethod
+    def assert_matches_reference(args):
+        got = _qnd_analysis(*args)
+        probs, roots = reference_qnd_analysis(*args)
+        assert got.outcomes == list(probs)
+        assert got.probs == pytest.approx(list(probs.values()), abs=1e-12)
+        # compare the squared roots: a root magnifies the rounding noise
+        # that the reference's complement Π_E carries
+        assert set(got.roots) == set(roots)
+        for amp, want in roots.items():
+            assert [r * r for r in got.roots[amp]] == pytest.approx(
+                [r * r for r in want], abs=1e-12)
+
+    @pytest.mark.parametrize("gate,alpha,gamma",
+                             [("cnot", 1.5, 200.0), ("cz", 2.0, 100.0)])
+    def test_gate_states_match_the_pairwise_loop(self, monkeypatch, gate,
+                                                 alpha, gamma):
+        for args in self.recorded_readouts(monkeypatch, gate, alpha, gamma):
+            self.assert_matches_reference(args)
+
+    def test_cross_terms_match_the_pairwise_loop(self):
+        # one photon configuration over three signal amplitudes, with a
+        # second beam that keeps the branches non-orthogonal
+        config = ((0, 0),)
+        st = HybridState(("p",), frozenset({0}), 2, (
+            Branch(0.5, config, (0j, 0.3)),
+            Branch(0.6j, config, (1.2j, 0.1 - 0.2j)),
+            Branch(-0.4 + 0.3j, config, (-1.2j, 0.5j)),
+            Branch(0.2, ((0, 1),), (1.2j, 0.3)),
+        ))
+        det = DetectorParams(eta=0.7, gamma=100.0, theta_p=0.1)
+        self.assert_matches_reference((st, 0, det, 6, 1e-12))
