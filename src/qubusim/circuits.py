@@ -6,10 +6,11 @@ A program document has four sections:
   ("H", "V", "+", "-" or {"H": [re, im], "V": [re, im]}, normalized);
 * ``beams``: initial live qubus amplitudes as [re, im] pairs;
 * ``circuit``: the ordered instruction list (elements, measurements and
-  gates; ``REQUIRED_FIELDS`` below lists each op with the fields it needs);
+  gates; ``REQUIRED_FIELDS`` below lists each op with the fields it needs,
+  ``OPTIONAL_FIELDS`` the per-gate alpha/theta any op may carry);
 * ``run``: options — mode "exact" or "sample", seed, shots (an integer
-  ≥ 1), default gate alpha/theta, optional detector {eta, gamma, theta_p}
-  and Poisson tail.
+  ≥ 1), default gate alpha/theta, optional detector {eta, gamma, theta_p},
+  Poisson tail and cutoff (``RUN_FIELDS``).
 
 Malformed documents raise ParseError; well-formed documents with dangling
 references or unnormalized states raise ValidationError.  Reports are plain
@@ -91,8 +92,13 @@ REQUIRED_FIELDS = {
     "multi_toffoli": {"controls": list, "target": str},
 }
 INSTRUCTIONS = tuple(REQUIRED_FIELDS)
+# optional fields any op may carry (the per-gate qubus parameters), and the
+# run options, with their JSON types; a null "cutoff" means the default
+OPTIONAL_FIELDS = {"alpha": float, "theta": float}
+RUN_FIELDS = {"seed": int, "alpha": float, "theta": float, "tail": float}
 # fields naming two paths (photon_bs/swap_paths, c_path, merging)
 _PATH_PAIRS = ("paths", "target_paths", "source_paths")
+_POL_LABELS = ("H", "V", "h", "v", 0, 1)
 
 
 @dataclass(frozen=True)
@@ -151,13 +157,27 @@ def _parse_matrix(val, dim: int, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _is_int_pair(val) -> bool:
+    return (isinstance(val, list) and len(val) == 2
+            and all(isinstance(p, int) for p in val))
+
+
+def _check_optional(obj: dict, kinds: dict, where: str) -> None:
+    """Optional fields, where present, have their JSON types; a "cutoff"
+    is an integer or null."""
+    for key, kind in kinds.items():
+        if key in obj:
+            _need(obj, key, kind, where)
+    if obj.get("cutoff") is not None:
+        _need(obj, "cutoff", int, where)
+
+
 def _check_references(ins: dict, ids: set, where: str) -> None:
     """Path pairs hold two path numbers, photon references name known
     photons, and the photon ids of merging's ancilla and companion_flip
     objects are strings."""
     for key in _PATH_PAIRS:
-        if key in ins and not (isinstance(ins[key], list) and len(ins[key]) == 2
-                               and all(isinstance(p, int) for p in ins[key])):
+        if key in ins and not _is_int_pair(ins[key]):
             raise ParseError(f"field {key!r} must be a pair of path numbers", where)
     refs = [(key, ins[key]) for key in ("photon", "control", "target") if key in ins]
     for key in ("controls", "targets"):
@@ -174,6 +194,29 @@ def _check_references(ins: dict, ids: set, where: str) -> None:
             raise ParseError(f"field {key!r} must be an object", where)
         if not isinstance(sub.get("photon", ""), str):
             raise ParseError("field 'photon' must be a photon id", f"{where}.{key}")
+
+
+def _check_shapes(ins: dict, where: str) -> None:
+    """The fields the op reads beyond their JSON types: merging's ancilla
+    sign, the PBS route maps, the beam pair of qubus_bs and the two
+    (path, polarization) modes of photon_unitary."""
+    op = ins["op"]
+    if ins.get("ancilla", {}).get("sign", 1) not in (1, -1):
+        raise ParseError("field 'sign' must be 1 or -1", f"{where}.ancilla")
+    if op in ("pbs_hv", "pbs_diag"):
+        for key in ("transmit", "reflect"):
+            if not all(k.removeprefix("-").isdecimal() and isinstance(v, int)
+                       for k, v in ins[key].items()):
+                raise ParseError(
+                    f"field {key!r} must map path numbers to path numbers", where)
+    if op == "qubus_bs" and not _is_int_pair(ins["beams"]):
+        raise ParseError("field 'beams' must be a pair of beam numbers", where)
+    if op == "photon_unitary" and not (
+            len(ins["modes"]) == 2 and all(
+                isinstance(m, list) and len(m) == 2 and isinstance(m[0], int)
+                and m[1] in _POL_LABELS for m in ins["modes"])):
+        raise ParseError(
+            "field 'modes' must hold two [path, polarization] pairs", where)
 
 
 def parse_circuit(text: str) -> CircuitProgram:
@@ -223,6 +266,7 @@ def parse_circuit(text: str) -> CircuitProgram:
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise ParseError("run section must be an object", "run")
+    _check_optional(run, RUN_FIELDS, "run")
     mode = run.get("mode", "exact")
     if mode not in ("exact", "sample"):
         raise ValidationError(f"unknown run mode {mode!r}", "run.mode")
@@ -246,7 +290,9 @@ def parse_circuit(text: str) -> CircuitProgram:
             _need(ins, key, kind, where)
         if op == "merging":
             _need(ins["companion_flip"], "path", int, f"{where}.companion_flip")
+        _check_optional(ins, OPTIONAL_FIELDS, where)
         _check_references(ins, ids, where)
+        _check_shapes(ins, where)
         # matrices are validated eagerly so malformed programs fail at parse
         if op == "photon_unitary":
             _parse_matrix(_need(ins, "matrix", list, where), 2, where)

@@ -170,6 +170,51 @@ def _normalized_post(post: HybridState, prob: float) -> HybridState:
     return post.scaled(1 / post.norm()).canonicalize(1e-12)
 
 
+def _fock_amps(beta: complex, log_fact: np.ndarray) -> np.ndarray:
+    """⟨n|β⟩ for n = 0..len(log_fact)−1, the vector form of `_fock_amp`;
+    `log_fact` holds log n!."""
+    out = np.zeros(len(log_fact), dtype=complex)
+    r = abs(beta)
+    if r == 0:
+        out[0] = 1.0
+        return out
+    n = np.arange(len(log_fact))
+    return np.exp(-0.5 * r * r + n * math.log(r) - 0.5 * log_fact
+                  + 1j * cmath.phase(beta) * n)
+
+
+def _fock_density(state: HybridState, beam: int, n_max: int,
+                  ) -> tuple[list, np.ndarray, np.ndarray]:
+    """Photon-number distribution of one beam for n = 0..n_max.
+
+    Returns the distinct beam amplitudes a in first-seen order, their Fock
+    vectors F_a as the rows of one array, and
+    P(n) = Re Σ_ab M[a, b]·F_a(n)·F̄_b(n), where M[a, b] sums the
+    rest-of-state overlaps of the branch pairs at (a, b).
+    Cross terms between branches that are not orthogonal in the photon or
+    other-beam sector are therefore kept.
+    """
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    index = {}
+    for br in state.branches:
+        index.setdefault(br.qubus[beam], len(index))
+    fock = np.array([_fock_amps(a, log_fact) for a in index])
+    by_config = {}
+    for br in state.branches:
+        by_config.setdefault(br.config, []).append(br)
+    overlaps = np.zeros((len(index), len(index)), dtype=complex)
+    for group in by_config.values():
+        for bi in group:
+            for bj in group:
+                ov = bj.amp.conjugate() * bi.amp
+                for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
+                    if c != beam:
+                        ov *= coherent_overlap(qa, qb)
+                overlaps[index[bi.qubus[beam]], index[bj.qubus[beam]]] += ov
+    density = np.einsum("an,ab,bn->n", fock, overlaps, fock.conj()).real
+    return list(index), fock, density
+
+
 def enumerate_fock_outcomes(state: HybridState, beam: int,
                             cutoff: Optional[int] = None,
                             tail: float = 1e-12,
@@ -284,13 +329,21 @@ def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
 def sample_fock(state: HybridState, beam: int, rng: np.random.Generator,
                 tail: float = 1e-12, vacuum_pointer: bool = False,
                 ) -> tuple[int, HybridState]:
-    """Draw one Fock outcome from the exact distribution; the post-state is
-    identical to the enumerated one for that n."""
-    outcomes = enumerate_fock_outcomes(state, beam, tail=tail,
-                                       vacuum_pointer=vacuum_pointer)
-    i = draw_index([p for _, p, _ in outcomes], rng)
-    n, _, post = outcomes[i]
-    return n, post
+    """Draw one Fock outcome from the exact distribution and collapse onto it.
+
+    P(n) for every n up to the Poisson cutoff is one array (`_fock_density`).
+    A single `draw_index` over the n with P(n) > 0, in increasing n, picks
+    the outcome (the same uniform and order as a draw over
+    `enumerate_fock_outcomes`), and only that n is collapsed: the post-state
+    is identical to the enumerated one for that n.
+    """
+    state.require_beam(beam)
+    n_max = _beam_cutoff(_beam_means(state, beam), tail)
+    _, _, density = _fock_density(state, beam, n_max)
+    support = np.flatnonzero(density > 0)
+    n = int(support[draw_index(density[support].tolist(), rng)])
+    post, prob = _fock_collapse(state, beam, n, vacuum_pointer)
+    return n, _normalized_post(post, prob)
 
 
 # -- POVM construction --------------------------------------------------------
@@ -405,19 +458,6 @@ def response_matrix(det: DetectorParams, bins: PovmBins, n_max: int) -> np.ndarr
 
 # -- the QND module -----------------------------------------------------------
 
-def _fock_amps(beta: complex, n_max: int) -> np.ndarray:
-    """⟨n|β⟩ for n = 0..n_max, the vector form of `_fock_amp`."""
-    out = np.zeros(n_max + 1, dtype=complex)
-    r = abs(beta)
-    if r == 0:
-        out[0] = 1.0
-        return out
-    n = np.arange(n_max + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    return np.exp(-0.5 * r * r + n * math.log(r) - 0.5 * log_fact
-                  + 1j * cmath.phase(beta) * n)
-
-
 @dataclass(frozen=True)
 class _QndAnalysis:
     """Outcome probabilities of one QND readout, plus the root of the POVM
@@ -437,38 +477,19 @@ def _qnd_analysis(state: HybridState, beam: int, det: DetectorParams,
                   k_max: Optional[int], tail: float) -> _QndAnalysis:
     """Shared outcome-probability analysis for the QND readout.
 
-    Probabilities are exact: cross terms between branches that are not
-    orthogonal in the photon/other-beam sector are carried through the
-    detector response.  With F_a the Fock amplitudes of beam amplitude a and
-    M[a, b] the summed rest-of-state overlaps of the branch pairs at (a, b),
-    P(o) = Re Σ_ab M[a, b]·(F_a ∘ F̄_b) @ R[:, o].
+    Probabilities are exact (see `_fock_density`):
+    P(o) = Re Σ_ab M[a, b]·(F_a ∘ F̄_b) @ R[:, o] = Σ_n P(n)·R[n, o].
     """
     state.require_beam(beam)
     n_max = _beam_cutoff(_beam_means(state, beam), tail)
     if k_max is None:
         k_max = max(n_max, 1)
     resp = response_matrix(det, povm_bins(det, k_max), n_max)
-    index = {}
-    for br in state.branches:
-        index.setdefault(br.qubus[beam], len(index))
-    fock = np.array([_fock_amps(a, n_max) for a in index])
-    by_config = {}
-    for br in state.branches:
-        by_config.setdefault(br.config, []).append(br)
-    overlaps = np.zeros((len(index), len(index)), dtype=complex)
-    for group in by_config.values():
-        for bi in group:
-            for bj in group:
-                ov = bj.amp.conjugate() * bi.amp
-                for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
-                    if c != beam:
-                        ov *= coherent_overlap(qa, qb)
-                overlaps[index[bi.qubus[beam]], index[bj.qubus[beam]]] += ov
-    density = np.einsum("an,ab,bn->n", fock, overlaps, fock.conj()).real
+    amps, fock, density = _fock_density(state, beam, n_max)
     roots = np.sqrt(np.abs(fock) ** 2 @ resp).tolist()
     return _QndAnalysis(outcomes=outcome_keys(k_max),
                         probs=(density @ resp).tolist(),
-                        roots=dict(zip(index, roots)))
+                        roots=dict(zip(amps, roots)))
 
 
 def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
@@ -482,23 +503,22 @@ def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
     each branch is reweighted by the root of its POVM response.
     """
     analysis = _qnd_analysis(state, beam, det, k_max, tail)
-    results = []
-    for i, (tag, k) in enumerate(analysis.outcomes):
-        p = max(analysis.probs[i], 0.0)
-        outcome = PovmOutcome(tag=tag, k=k, probability=p)
-        if p <= 1e-300:
-            results.append((outcome, None))
-            continue
+    probs = [max(p, 0.0) for p in analysis.probs]
+
+    def result(i: int):
+        tag, k = analysis.outcomes[i]
+        outcome = PovmOutcome(tag=tag, k=k, probability=probs[i])
+        if probs[i] <= 1e-300:
+            return outcome, None
         post = analysis.weighted_post(state, beam, i)
-        results.append((outcome, post.scaled(1 / post.norm()).canonicalize(1e-12)))
+        return outcome, post.scaled(1 / post.norm()).canonicalize(1e-12)
 
     if mode == "enumerate":
-        return results
+        return [result(i) for i in range(len(probs))]
     if mode == "sample":
         if rng is None:
             raise PreconditionViolation("sampling requires a random generator")
-        i = draw_index([oc.probability for oc, _ in results], rng)
-        return results[i]
+        return result(draw_index(probs, rng))
     raise PreconditionViolation(f"unknown mode {mode!r}")
 
 

@@ -32,6 +32,10 @@ class instead: one record for n = 0, one for odd n and one for even n ≥ 2,
 each the record `coalesce` would make of that class (see
 `fock_outcome_classes`).  A bus with any other amplitudes is enumerated per
 n as before.
+
+`SampleMode` draws n from the bus's photon-number distribution, computed as
+one array, and collapses the bus only at the drawn n (`sample_fock`), so a
+sampled shot builds one post-state per measured bus for any bus.
 """
 
 from __future__ import annotations

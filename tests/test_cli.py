@@ -82,6 +82,19 @@ class TestParsing:
          "circuit[0].companion_flip"),
         ({"op": "merging", "photon": "T", "source_paths": [1, 2], "dest": 3,
           "companion_flip": {"path": 0}, "ancilla": 5}, "ancilla", "circuit[0]"),
+        ({"op": "cnot", "control": "C", "target": "T", "alpha": "x"}, "alpha",
+         "circuit[0]"),
+        ({"op": "cnot", "control": "C", "target": "T", "theta": [1]}, "theta",
+         "circuit[0]"),
+        ({"op": "merging", "photon": "T", "source_paths": [1, 2], "dest": 3,
+          "companion_flip": {"path": 0}, "ancilla": {"sign": "x"}}, "sign",
+         "circuit[0].ancilla"),
+        ({"op": "pbs_hv", "transmit": {"x": 1}, "reflect": {}}, "transmit",
+         "circuit[0]"),
+        ({"op": "qubus_bs", "beams": [0]}, "beams", "circuit[0]"),
+        ({"op": "photon_unitary", "photon": "C", "modes": [[0]],
+          "matrix": [[1, 0], [0, 1]]}, "modes", "circuit[0]"),
+        ({"op": "measure_fock", "beam": 0, "cutoff": "x"}, "cutoff", "circuit[0]"),
     ])
     def test_malformed_references_are_parse_errors(self, tmp_path, ins, field,
                                                    location):
@@ -90,6 +103,21 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"'{field}'") as exc:
             parse_circuit(json.dumps(doc))
         assert exc.value.location == location
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 2
+
+    @pytest.mark.parametrize("run,field", [
+        ({"seed": "x"}, "seed"), ({"alpha": "x"}, "alpha"),
+        ({"theta": None}, "theta"), ({"tail": [1]}, "tail"),
+        ({"cutoff": "3"}, "cutoff"),
+    ])
+    def test_malformed_run_options_are_parse_errors(self, tmp_path, run, field):
+        doc = json.loads(CNOT_DOC)
+        doc["run"] = run
+        with pytest.raises(ParseError, match=f"'{field}'") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == "run"
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(doc))
         assert main(["run", str(src)]) == 2

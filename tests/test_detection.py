@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qubusim import gates
+from qubusim import detection, gates
 from qubusim.detection import (
     AMBIGUOUS,
     PEAK,
@@ -11,6 +11,7 @@ from qubusim.detection import (
     DetectorParams,
     PovmBins,
     _fock_amp,
+    _fock_density,
     _qnd_analysis,
     detection_error_eq11,
     detection_error_exact,
@@ -116,6 +117,88 @@ class TestSampleFock:
         p0 = probs[0]
         got = sum(1 for n in small if n == 0) / 2000
         assert abs(got - p0) <= 3 * math.sqrt(p0 * (1 - p0) / 2000)
+
+
+def non_class_state(z: complex):
+    """A beam at 0, z and iz in three photon configurations: not a ±z bus."""
+    branches = (
+        Branch(0.6, ((0, 0),), (0j,)),
+        Branch(0.48, ((1, 0),), (z,)),
+        Branch(0.64j, ((2, 0),), (1j * z,)),
+    )
+    return HybridState(("p",), frozenset({0, 1, 2}), 1, branches)
+
+
+def overlapping_state():
+    """One photon configuration over three signal amplitudes, with a second
+    beam whose overlaps between the branches are neither 0 nor 1."""
+    config = ((0, 0),)
+    return HybridState(("p",), frozenset({0}), 2, (
+        Branch(0.5, config, (0j, 0.3)),
+        Branch(0.6j, config, (1.2j, 0.1 - 0.2j)),
+        Branch(-0.4 + 0.3j, config, (-1.2j, 0.5j)),
+        Branch(0.2, ((0, 1),), (1.2j, 0.3)),
+    )).normalized()
+
+
+FAST_PATH_STATES = [
+    *[pytest.param(two_component_state(math.sqrt(mean), 0.6, 0.8), id=f"pm-z-{mean}")
+      for mean in (0.08, 1.0, 8.0, 80.0, 800.0)],
+    *[pytest.param(non_class_state(z), id=f"0-z-iz-{abs(z) ** 2:g}")
+      for z in (0.3 + 0.1j, 2.0, 9.0 - 3.0j)],
+    pytest.param(overlapping_state(), id="overlapping"),
+]
+
+
+class TestSampleFockFastPath:
+    """`sample_fock` against an inverse-CDF draw over the per-n records."""
+
+    @pytest.mark.parametrize("vacuum_pointer", [False, True])
+    @pytest.mark.parametrize("state", FAST_PATH_STATES)
+    def test_same_draw_and_post_state_as_enumeration(self, state, vacuum_pointer):
+        outs = enumerate_fock_outcomes(state, 0, vacuum_pointer=vacuum_pointer)
+        probs = [p for _, p, _ in outs]
+        drawn = set()
+        for seed in range(40):
+            want_n, _, want_post = outs[draw_index(probs, np.random.default_rng(seed))]
+            n, post = sample_fock(state, 0, np.random.default_rng(seed),
+                                  vacuum_pointer=vacuum_pointer)
+            assert n == want_n
+            assert post == want_post
+            drawn.add(n)
+        assert len(drawn) > 1 or len(outs) == 1
+
+    @pytest.mark.parametrize("state", FAST_PATH_STATES)
+    def test_density_matches_the_per_n_probabilities(self, state):
+        per_n = {n: p for n, p, _ in enumerate_fock_outcomes(state, 0)}
+        n_max = max(poisson_cutoff(abs(br.qubus[0]) ** 2, 1e-12)
+                    for br in state.branches)
+        amps, fock, density = _fock_density(state, 0, n_max)
+        assert set(amps) == {br.qubus[0] for br in state.branches}
+        assert fock.shape == (len(amps), n_max + 1)
+        assert max(per_n) <= n_max
+        for n in range(n_max + 1):
+            assert abs(density[n] - per_n.get(n, 0.0)) <= 1e-12
+
+    def test_one_collapse_per_measured_beam(self, monkeypatch):
+        # guards against a return of the per-n loop: a sampled CNOT at a
+        # bus mean of about 184 collapses each bus once, at the drawn n
+        calls = []
+        collapse = detection._fock_collapse
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return collapse(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "_fock_collapse", counting)
+        st = product_state([("C", 0, "+"), ("T", 1, "H")])
+        for seed in range(3):
+            calls.clear()
+            res = gates.cnot(st, "C", "T", 20.0, 0.5,
+                             mode=gates.SampleMode(np.random.default_rng(seed)))
+            assert len(res.outcomes) == 1
+            assert res.resources.c_path_count == res.resources.merging_count == 1
+            assert len(calls) == 2
 
 
 class TestPovmBins:
@@ -455,14 +538,22 @@ class TestQndAnalysisArrays:
             self.assert_matches_reference(args)
 
     def test_cross_terms_match_the_pairwise_loop(self):
-        # one photon configuration over three signal amplitudes, with a
-        # second beam that keeps the branches non-orthogonal
-        config = ((0, 0),)
-        st = HybridState(("p",), frozenset({0}), 2, (
-            Branch(0.5, config, (0j, 0.3)),
-            Branch(0.6j, config, (1.2j, 0.1 - 0.2j)),
-            Branch(-0.4 + 0.3j, config, (-1.2j, 0.5j)),
-            Branch(0.2, ((0, 1),), (1.2j, 0.3)),
-        ))
         det = DetectorParams(eta=0.7, gamma=100.0, theta_p=0.1)
-        self.assert_matches_reference((st, 0, det, 6, 1e-12))
+        self.assert_matches_reference((overlapping_state(), 0, det, 6, 1e-12))
+
+
+class TestQndSample:
+    @pytest.mark.parametrize("alpha,gamma", [(1.5, 200.0), (2.0, 100.0)])
+    def test_same_draw_and_post_state_as_enumeration(self, monkeypatch, alpha,
+                                                     gamma):
+        readouts = TestQndAnalysisArrays.recorded_readouts(
+            monkeypatch, "cnot", alpha, gamma)
+        for state, beam, det, k_max, tail in readouts:
+            enumerated = qnd_detect(state, beam, det, k_max=k_max, tail=tail)
+            probs = [oc.probability for oc, _ in enumerated]
+            for seed in range(20):
+                want = enumerated[draw_index(probs, np.random.default_rng(seed))]
+                got = qnd_detect(state, beam, det, mode="sample",
+                                 rng=np.random.default_rng(seed), k_max=k_max,
+                                 tail=tail)
+                assert got == want
