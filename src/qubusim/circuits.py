@@ -99,6 +99,7 @@ RUN_FIELDS = {"seed": int, "alpha": float, "theta": float, "tail": float}
 # fields naming two paths (photon_bs/swap_paths, c_path, merging)
 _PATH_PAIRS = ("paths", "target_paths", "source_paths")
 _POL_LABELS = ("H", "V", "h", "v", 0, 1)
+_SELECTOR_POLS = _POL_LABELS + (ANY,)
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,17 @@ def _check_references(ins: dict, ids: set, where: str) -> None:
 
 def _check_shapes(ins: dict, where: str) -> None:
     """The fields the op reads beyond their JSON types: merging's ancilla
-    sign, the PBS route maps, the beam pair of qubus_bs and the two
-    (path, polarization) modes of photon_unitary."""
+    sign, the selector polarizations of xpm, phase_shift and merging's
+    companion_flip, the PBS route maps, the beam pair of qubus_bs and the
+    two (path, polarization) modes of photon_unitary."""
     op = ins["op"]
     if ins.get("ancilla", {}).get("sign", 1) not in (1, -1):
         raise ParseError("field 'sign' must be 1 or -1", f"{where}.ancilla")
+    if op in ("xpm", "phase_shift", "merging"):
+        sel, at = ((ins["companion_flip"], f"{where}.companion_flip")
+                   if op == "merging" else (ins, where))
+        if sel.get("pol", ANY) not in _SELECTOR_POLS:
+            raise ParseError("field 'pol' must be H, V or ANY", at)
     if op in ("pbs_hv", "pbs_diag"):
         for key in ("transmit", "reflect"):
             if not all(k.removeprefix("-").isdecimal() and isinstance(v, int)
@@ -414,16 +421,16 @@ def apply_program_instruction(records: list[Record], ins: dict, k: int,
 
         if op == "measure_fock":
             beam = int(ins["beam"])
+            cutoff = ins.get("cutoff", program.cutoff)
             out = []
             for rec in records:
                 if isinstance(mode, SampleMode):
                     n, post = sample_fock(rec.state, beam, mode.rng,
-                                          tail=program.tail)
+                                          tail=program.tail, cutoff=cutoff)
                     subs = [(n, 1.0, post)]
                 else:
                     subs = enumerate_fock_outcomes(
-                        rec.state, beam, tail=program.tail,
-                        cutoff=ins.get("cutoff", program.cutoff))
+                        rec.state, beam, tail=program.tail, cutoff=cutoff)
                 for n, p, post in subs:
                     out.append(replace(rec, labels=rec.labels + ((f"{k}.n", n),),
                                        probability=rec.probability * p,

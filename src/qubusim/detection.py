@@ -215,6 +215,24 @@ def _fock_density(state: HybridState, beam: int, n_max: int,
     return list(index), fock, density
 
 
+def _readout_range(state: HybridState, beam: int, cutoff: Optional[int],
+                   tail: float) -> int:
+    """The largest n a Fock readout of `beam` covers: the Poisson cutoff of
+    its branch means, or `cutoff` when given.  Raises CutoffTooSmall when
+    `cutoff` leaves a Poisson tail above 1e-9."""
+    state.require_beam(beam)
+    means = _beam_means(state, beam)
+    needed = _beam_cutoff(means, tail)
+    if cutoff is None:
+        return needed
+    if cutoff < needed and any(
+            sum(poisson_pmf(n, m) for n in range(cutoff + 1)) < 1 - 1e-9
+            for m in means):
+        raise CutoffTooSmall(
+            f"cutoff {cutoff} leaves a Poisson tail above 1e-9 (need {needed})")
+    return cutoff
+
+
 def enumerate_fock_outcomes(state: HybridState, beam: int,
                             cutoff: Optional[int] = None,
                             tail: float = 1e-12,
@@ -226,15 +244,7 @@ def enumerate_fock_outcomes(state: HybridState, beam: int,
     beam leaves the registry; probabilities are the squared norms of the
     projected states and sum to 1 up to the truncation tail.
     """
-    state.require_beam(beam)
-    means = _beam_means(state, beam)
-    needed = _beam_cutoff(means, tail)
-    n_max = needed if cutoff is None else cutoff
-    if n_max < needed and any(
-            sum(poisson_pmf(n, m) for n in range(n_max + 1)) < 1 - 1e-9
-            for m in means):
-        raise CutoffTooSmall(
-            f"cutoff {n_max} leaves a Poisson tail above 1e-9 (need {needed})")
+    n_max = _readout_range(state, beam, cutoff, tail)
     out = []
     for n in range(n_max + 1):
         post, prob = _fock_collapse(state, beam, n, vacuum_pointer)
@@ -328,17 +338,17 @@ def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
 
 def sample_fock(state: HybridState, beam: int, rng: np.random.Generator,
                 tail: float = 1e-12, vacuum_pointer: bool = False,
-                ) -> tuple[int, HybridState]:
+                cutoff: Optional[int] = None) -> tuple[int, HybridState]:
     """Draw one Fock outcome from the exact distribution and collapse onto it.
 
-    P(n) for every n up to the Poisson cutoff is one array (`_fock_density`).
+    P(n) for every n up to the Poisson cutoff (or `cutoff`, checked as in
+    `enumerate_fock_outcomes`) is one array (`_fock_density`).
     A single `draw_index` over the n with P(n) > 0, in increasing n, picks
     the outcome (the same uniform and order as a draw over
     `enumerate_fock_outcomes`), and only that n is collapsed: the post-state
     is identical to the enumerated one for that n.
     """
-    state.require_beam(beam)
-    n_max = _beam_cutoff(_beam_means(state, beam), tail)
+    n_max = _readout_range(state, beam, cutoff, tail)
     _, _, density = _fock_density(state, beam, n_max)
     support = np.flatnonzero(density > 0)
     n = int(support[draw_index(density[support].tolist(), rng)])

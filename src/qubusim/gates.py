@@ -24,14 +24,16 @@ Measurements default to exact Fock enumeration of the measured beam; a
 realistic QND readout (with its explicit ambiguous failure records) is
 opt-in via `QndMode`.
 
-The public `c_path` and `merging` return one record per photon number n.
-Inside the composite gates every measured bus carries only the amplitudes
-0 and ±iβ, and every n ≥ 1 of one parity leaves the same corrected state up
-to a global phase.  So in exact mode the composites read each bus by outcome
-class instead: one record for n = 0, one for odd n and one for even n ≥ 2,
-each the record `coalesce` would make of that class (see
-`fock_outcome_classes`).  A bus with any other amplitudes is enumerated per
-n as before.
+The public `c_path` and `merging` return one record per photon number n
+(per detector peak in `QndMode`).  Inside the composite gates every measured
+bus carries only the amplitudes 0 and ±iβ, and every n ≥ 1 of one parity
+leaves the same corrected state up to a global phase.  So the composites
+read each bus by outcome class instead: in exact mode one record for n = 0,
+one for odd n and one for even n ≥ 2 (see `fock_outcome_classes`); in
+`QndMode` the vacuum and ambiguous records plus one record for the odd and
+one for the even detector peaks (see `_peak_parity_classes`).  Each class
+record is the record `coalesce` would make of its members.  A bus with any
+other amplitudes is read per n, or per peak, as before.
 
 `SampleMode` draws n from the bus's photon-number distribution, computed as
 one array, and collapses the bus only at the drawn n (`sample_fock`), so a
@@ -47,6 +49,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import detection
 from .detection import (
     DetectorParams,
     draw_index,
@@ -104,9 +107,43 @@ class _ClassMode(ExactMode):
     """Exact readout by outcome class, as the composite gates run it."""
 
 
+@dataclass(frozen=True)
+class _QndClassMode(QndMode):
+    """QND readout by peak-parity class, as the composite gates run it."""
+
+
 def _composite_mode(mode: Optional[MeasureMode]) -> MeasureMode:
     mode = mode or ExactMode()
-    return _ClassMode(mode.tail) if type(mode) is ExactMode else mode
+    if type(mode) is ExactMode:
+        return _ClassMode(mode.tail)
+    if type(mode) is QndMode:
+        return _QndClassMode(mode.det, mode.k_max, mode.tail)
+    return mode
+
+
+def _peak_parity_classes(outcomes):
+    """Group the QND readout of a bus holding only 0 and ±z by peak parity.
+
+    Peak k collapses such a bus onto A₊ + (−1)ᵏA₋ up to a global phase, so
+    the peaks of one parity leave the same state.  Each parity becomes one
+    record at its first peak's place, with that peak's n̂, label and
+    post-state, the members' probabilities summed in increasing k and their
+    count as multiplicity: the record `coalesce` makes of them.  Vacuum and
+    ambiguous records pass through.
+    """
+    out = []
+    first = {}
+    for n_hat, label, prob, post in outcomes:
+        if n_hat in (None, 0):
+            out.append([n_hat, label, prob, post, 1])
+        elif n_hat % 2 in first:
+            rec = out[first[n_hat % 2]]
+            rec[2] += prob
+            rec[4] += 1
+        else:
+            first[n_hat % 2] = len(out)
+            out.append([n_hat, label, prob, post, 1])
+    return [tuple(rec) for rec in out]
 
 
 def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
@@ -126,8 +163,12 @@ def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
                               vacuum_pointer=True)
         return [(n, ("n", n), 1.0, post, 1)]
     if isinstance(mode, QndMode):
-        return [(n, label, p, post, 1) for n, label, p, post in
-                qnd_gate_outcomes(state, beam, mode.det, mode.k_max, mode.tail)]
+        outcomes = qnd_gate_outcomes(state, beam, mode.det, mode.k_max,
+                                     mode.tail)
+        if (isinstance(mode, _QndClassMode)
+                and detection._class_amplitude(state, beam) is not None):
+            return _peak_parity_classes(outcomes)
+        return [(n, label, p, post, 1) for n, label, p, post in outcomes]
     raise PreconditionViolation(f"unknown measurement mode {mode!r}")
 
 
@@ -430,12 +471,13 @@ AncillaSpec = Union[FreshAncilla, ParkedAncilla]
 
 
 def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],
-                   mode: MeasureMode):
+                   mode: MeasureMode, response: Optional[list[float]]):
     """Project which of `paths` carries the photon.
 
     Exact mode enumerates the four clean outcomes.  QND mode adds the
-    detector responses: per-path clean detections, a global no-click record
-    and per-path ambiguous responses, all flagged for no correction.
+    detector responses, weighted by `response`: per-path clean detections,
+    a global no-click record and per-path ambiguous responses, all flagged
+    for no correction.
     """
     idx = state.photon_index(photon)
 
@@ -461,9 +503,7 @@ def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],
         return results
 
     if isinstance(mode, QndMode):
-        # the photon is one Fock quantum on the located path
-        resp = response_matrix(mode.det, povm_bins(mode.det, 1), 1)
-        w_vac, w_peak, w_amb = resp[1].tolist()
+        w_vac, w_peak, w_amb = response
         results = []
         for t, p, sub in clean:
             results.append((t, ("qnd_path", t), p * w_peak, sub, True))
@@ -549,6 +589,10 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     s = qubus_bs(s, b1, b2)
     trace.log_elementary("merging", theta, couplings=4)
 
+    # (vacuum, peak, ambiguous) weights of a QND module reading the one
+    # photon on a localization path
+    response = (response_matrix(mode.det, povm_bins(mode.det, 1), 1)[1].tolist()
+                if isinstance(mode, QndMode) else None)
     records = []
     for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
         if n_hat is None:
@@ -572,7 +616,7 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
         post = pbs_diag(post, transmit={p: t_p_plus, q: t_q_plus},
                         reflect={p: t_p_minus, q: t_q_minus})
         for t, sub_label, sub_prob, sub, correctable in _locate_photon(
-                post, photon, qnd_paths, mode):
+                post, photon, qnd_paths, mode, response):
             sub_corr = list(corrections)
             if correctable:
                 if t in minus_port_paths:

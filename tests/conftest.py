@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qubusim.state import Branch, HybridState
+
+# pytest puts src/ on sys.path (pyproject.toml); tests that start
+# `python -m qubusim` in a subprocess need it on PYTHONPATH as well
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def random_unitary(n, rng):

@@ -14,7 +14,7 @@ from qubusim.circuits import (
     serialize_program,
 )
 from qubusim.cli import main
-from qubusim.errors import ParseError, ValidationError
+from qubusim.errors import CutoffTooSmall, ParseError, ValidationError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -121,6 +121,46 @@ class TestParsing:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(doc))
         assert main(["run", str(src)]) == 2
+
+    @pytest.mark.parametrize("ins,location", [
+        ({"op": "xpm", "path": 0, "pol": "X", "beam": 0, "theta": 0.3},
+         "circuit[0]"),
+        ({"op": "phase_shift", "path": 0, "pol": "any", "phi": 1.0}, "circuit[0]"),
+        ({"op": "merging", "photon": "T", "source_paths": [1, 2], "dest": 3,
+          "companion_flip": {"path": 0, "pol": 2}}, "circuit[0].companion_flip"),
+    ])
+    def test_selector_pol_is_a_parse_error(self, tmp_path, ins, location):
+        doc = json.loads(CNOT_DOC)
+        doc["circuit"] = [ins]
+        with pytest.raises(ParseError, match="'pol'") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == location
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 2
+
+    def test_selector_pol_labels_that_run(self):
+        doc = json.loads(CNOT_DOC)
+        doc["circuit"] = [{"op": "phase_shift", "path": 0, "pol": pol, "phi": 1.0}
+                          for pol in ("H", "V", "h", "v", 0, 1, "ANY")]
+        assert run_program(parse_circuit(json.dumps(doc)))["checks"]["norms_ok"]
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_measure_fock_cutoff_applies_in_both_modes(self, tmp_path, mode):
+        doc = {"photons": [{"id": "P", "path": 0, "state": "H"}],
+               "beams": [[3.0, 0.0]],
+               "circuit": [{"op": "measure_fock", "beam": 0, "cutoff": 2}],
+               "run": {"mode": mode, "shots": 3}}
+        with pytest.raises(CutoffTooSmall, match="cutoff 2"):
+            run_program(parse_circuit(json.dumps(doc)))
+        src = tmp_path / "fock.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 1
+        doc["circuit"][0]["cutoff"] = 40
+        report = run_program(parse_circuit(json.dumps(doc)))
+        labels = [lab for rec in report.get("records", report.get("shots"))
+                  for lab in rec["labels"]]
+        assert labels and all(n <= 40 for _, n in labels)
 
     @pytest.mark.parametrize("shots", [-3, 0, 2.5, "4", True])
     def test_shots_must_be_a_positive_int(self, tmp_path, shots):

@@ -180,6 +180,22 @@ class TestSampleFockFastPath:
         for n in range(n_max + 1):
             assert abs(density[n] - per_n.get(n, 0.0)) <= 1e-12
 
+    @pytest.mark.parametrize("cutoff", [None, 12, 30])
+    def test_cutoff_sets_the_range_as_in_enumeration(self, cutoff):
+        # at mean 1 the default range ends at 14; a cutoff of 12 passes the
+        # 1e-9 tail check and truncates it
+        state = two_component_state(1.0, 0.6, 0.8)
+        outs = enumerate_fock_outcomes(state, 0, cutoff=cutoff)
+        probs = [p for _, p, _ in outs]
+        for seed in range(20):
+            want_n, _, want_post = outs[draw_index(probs, np.random.default_rng(seed))]
+            n, post = sample_fock(state, 0, np.random.default_rng(seed),
+                                  cutoff=cutoff)
+            assert (n, post) == (want_n, want_post)
+        st = product_state([("p", 0, "H")], beams=[3.0])
+        with pytest.raises(CutoffTooSmall):
+            sample_fock(st, 0, np.random.default_rng(0), cutoff=2)
+
     def test_one_collapse_per_measured_beam(self, monkeypatch):
         # guards against a return of the per-n loop: a sampled CNOT at a
         # bus mean of about 184 collapses each bus once, at the drawn n

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from qubusim import detection, gates
-from qubusim.detection import enumerate_fock_outcomes, fock_outcome_classes
+from qubusim.detection import (
+    DetectorParams,
+    enumerate_fock_outcomes,
+    fock_outcome_classes,
+    qnd_gate_outcomes,
+)
 from qubusim.gates import (
     ExactMode,
     ParkedAncilla,
+    QndMode,
     ResourceTrace,
     chain,
     cnot,
@@ -437,3 +443,113 @@ class TestFockOutcomeClasses:
         for g, w in zip(grouped, per_n):
             assert g[:3] == w[:3] and g[4] == w[4] == 1
             assert_states_close(g[3], w[3], tol=0.0)
+
+
+# -- QND readout by peak-parity class against one record per peak ------------------
+
+QND_DETECTORS = [DetectorParams(0.9, 200.0, 0.1), DetectorParams(0.9, 100.0, 0.1),
+                 DetectorParams(0.7, 150.0, 0.1)]
+
+
+def counting_coalesce(monkeypatch):
+    """The records_in of every `coalesce` call, in call order."""
+    seen = []
+    merge = gates.coalesce
+
+    def counting(records, *args, **kwargs):
+        seen.append(len(records))
+        return merge(records, *args, **kwargs)
+
+    monkeypatch.setattr(gates, "coalesce", counting)
+    return seen
+
+
+def peak_class(n_hat):
+    """None (ambiguous), 0 (vacuum), 1 (odd peaks) or 2 (even peaks)."""
+    return n_hat if n_hat in (None, 0) else 2 - n_hat % 2
+
+
+class TestQndPeakClasses:
+    @pytest.mark.parametrize("det", QND_DETECTORS, ids=lambda d: f"g{d.gamma:g}")
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(TWO_QUBIT_GATES) + ["controlled_pair"])
+    def test_two_qubit_gates_match_per_peak(self, monkeypatch, rng, name, alpha,
+                                            det):
+        st = state_from_amplitudes(qubit_modes([("C", 0), ("T", 1)]),
+                                   random_qubit_vector(4, rng))
+        if name == "controlled_pair":
+            u1, u2 = random_unitary(2, rng), random_unitary(2, rng)
+            gate = lambda st, a, t, **kw: controlled_pair(st, "C", "T", u1, u2,
+                                                          a, t, **kw)
+        else:
+            gate = TWO_QUBIT_GATES[name]
+        merged = counting_coalesce(monkeypatch)
+        (got, got_res), (want, want_res) = by_class_and_per_n(
+            monkeypatch, lambda tr: gate(st, alpha, THETA, mode=QndMode(det),
+                                         trace=tr))
+        assert got_res == want_res
+        assert_same_records(got, want)
+        # the class path ran: each stage merged fewer records
+        by_class, per_peak = merged[:2], merged[2:]
+        assert all(g < w for g, w in zip(by_class, per_peak))
+        assert any("ambiguous" in str(r.labels) for r in got)
+
+    def test_parity_classes_sum_the_peaks(self):
+        det = QND_DETECTORS[1]
+        st = class_beam_state(1j * math.sqrt(2.0))
+        per_peak = qnd_gate_outcomes(st, 0, det)
+        grouped = gates._measure_beam(st, 0, gates._QndClassMode(det))
+        assert [g[1] for g in grouped] == [("qnd", "vacuum"), ("qnd_peak", 1),
+                                           ("qnd_peak", 2), ("qnd", "ambiguous")]
+        assert sum(g[4] for g in grouped) == len(per_peak)
+        for n_hat, label, p, post, mult in grouped:
+            members = [o for o in per_peak if peak_class(o[0]) == peak_class(n_hat)]
+            assert members[0][:2] == (n_hat, label) and members[0][3] == post
+            assert (mult, p) == (len(members), sum(o[2] for o in members))
+
+    def test_other_amplitudes_fall_back_to_per_peak(self):
+        z = 1.3 + 0.4j
+        st = HybridState(("p",), frozenset({0, 1}), 1, (
+            Branch(0.6 + 0j, ((0, 0),), (z,)),
+            Branch(0.8 + 0j, ((1, 0),), (1j * z,)),
+        ))
+        det = QND_DETECTORS[1]
+        grouped = gates._measure_beam(st, 0, gates._QndClassMode(det))
+        per_peak = gates._measure_beam(st, 0, QndMode(det))
+        assert len(grouped) == len(per_peak) > 4
+        assert grouped == per_peak
+        assert all(g[4] == 1 for g in grouped)
+
+    def test_public_gates_stay_per_peak(self):
+        det = QND_DETECTORS[0]
+        st = product_state([("C", 0, "+"), ("T", 1, "H")])
+        res = gates.c_path(st, "C", "T", (1, 2), 1.5, THETA, mode=QndMode(det))
+        assert all(r.multiplicity == 1 for r in res.outcomes)
+        assert sum(lab[0] == "qnd_peak" for r in res.outcomes
+                   for lab in r.labels) > 2
+
+
+class TestWorkCounters:
+    """Deterministic work counts of fixed gate calls, pinned as regression
+    guards: the records each `coalesce` takes in and the `_locate_photon`
+    calls (one per merging-readout record that is not ambiguous)."""
+
+    @pytest.mark.parametrize("mode,records_in,locates", [
+        (None, [3, 12], 3),
+        (QndMode(DetectorParams(0.9, 200.0, 0.1)), [4, 56], 6),
+    ], ids=["exact", "qnd"])
+    def test_cnot_counts(self, monkeypatch, mode, records_in, locates):
+        merged = counting_coalesce(monkeypatch)
+        located = []
+        locate = gates._locate_photon
+
+        def counting(*args, **kwargs):
+            located.append(args)
+            return locate(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "_locate_photon", counting)
+        st = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
+        res = cnot(st, "C", "T", 1.5, THETA, mode=mode)
+        assert merged == records_in
+        assert len(located) == locates
+        assert res.total_probability == pytest.approx(1.0, abs=1e-9)
