@@ -35,6 +35,13 @@ one for the even detector peaks (see `_peak_parity_classes`).  Each class
 record is the record `coalesce` would make of its members.  A bus with any
 other amplitudes is read per n, or per peak, as before.
 
+Every merging parks the measured photon on one of four localization paths
+as the recycled ancilla, and the next merging first swaps it onto its seat.
+In exact mode the composites make that swap before each later stage (before
+the controlled path, in `controlled_pair`) and coalesce, so records that
+differ only in where the ancilla was parked run that stage once
+(`_fold_onto_seat`).  `QndMode` and `SampleMode` record lists are not folded.
+
 `SampleMode` draws n from the bus's photon-number distribution, computed as
 one array, and collapses the bus only at the drawn n (`sample_fock`), so a
 sampled shot builds one post-state per measured bus for any bus.
@@ -323,10 +330,15 @@ def map_records(records: Sequence[Record],
 
 
 def _phase_canonical(state: HybridState) -> HybridState:
+    """The canonical form of `state` rotated so that its reference branch
+    has a real positive amplitude.  The reference is the first branch, in
+    canonical order, within a relative 1e-9 of the largest |amp|, so that a
+    tie between branches is not settled by rounding."""
     st = state.canonicalize(1e-12)
     if not st.branches:
         return st
-    ref = max(st.branches, key=lambda b: abs(b.amp))
+    top = max(abs(b.amp) for b in st.branches)
+    ref = next(b for b in st.branches if abs(b.amp) >= top * (1 - 1e-9))
     phase = ref.amp / abs(ref.amp)
     return st.scaled(phase.conjugate())
 
@@ -661,6 +673,29 @@ def _ancilla_for(rec: Record, ancilla: Optional[AncillaSpec]) -> AncillaSpec:
     return ancilla if ancilla is not None else FreshAncilla()
 
 
+def _fold_onto_seat(records: list[Record], seat: int,
+                    mode: MeasureMode) -> list[Record]:
+    """Move every parked ancilla onto the next merging's seat, then coalesce.
+
+    A merging leaves records that differ only in where it parked the
+    ancilla, and the next merging first swaps a parked ancilla onto its seat.
+    Making that swap here lets those records coalesce, so every later stage
+    runs once for them.  Exact composites only; a list with fewer than two
+    parked ancillas is returned as it is.
+    """
+    if (not isinstance(mode, _ClassMode)
+            or sum(rec.ancilla is not None for rec in records) < 2):
+        return records
+    moved = []
+    for rec in records:
+        if rec.ancilla is not None:
+            photon, path, sign = rec.ancilla
+            rec = replace(rec, state=rec.state.swap_paths(path, seat),
+                          ancilla=(photon, seat, sign))
+        moved.append(rec)
+    return coalesce(moved)
+
+
 def _merge_stage(photon: str, pair: tuple[int, int], seat: int, home: int,
                  flip: ModeSelector, alpha: float, theta: float,
                  mode: MeasureMode, trace: ResourceTrace,
@@ -678,6 +713,38 @@ def _merge_stage(photon: str, pair: tuple[int, int], seat: int, home: int,
     return stage
 
 
+def _controlled_pair_records(records: list[Record], control: str, target: str,
+                             u1: np.ndarray, u2: np.ndarray, alpha: float,
+                             theta: float, mode: MeasureMode,
+                             trace: ResourceTrace,
+                             ancilla: Optional[AncillaSpec]) -> list[Record]:
+    """`controlled_pair` on every record of a list whose records share their
+    paths and photon homes, as the records of one gate chain do."""
+    u1 = check_unitary(np.asarray(u1, dtype=complex))
+    u2 = check_unitary(np.asarray(u2, dtype=complex))
+    first = records[0].state
+    c_home = _home_path(first, control)
+    t_home = _home_path(first, target)
+    _, (aux, seat) = first.fresh_paths(2)
+    recs = map_records(records, lambda s: s.add_paths((aux, seat)))
+    # parked ancillas move to the seat before the c_path, which leaves it alone
+    recs = _fold_onto_seat(recs, seat, mode)
+
+    get_trace = _stage_traces(trace)
+    recs = coalesce(chain(recs, lambda rec: c_path(
+        rec.state, control, target, (t_home, aux), alpha, theta,
+        mode=mode, trace=get_trace())))
+    if not np.allclose(u1, PAULI_I):
+        recs = map_records(recs, lambda s: s.apply_photon_unitary(
+            target, (t_home, "H"), (t_home, "V"), u1))
+    if not np.allclose(u2, PAULI_I):
+        recs = map_records(recs, lambda s: s.apply_photon_unitary(
+            target, (aux, "H"), (aux, "V"), u2))
+    return coalesce(chain(recs, _merge_stage(
+        target, (t_home, aux), seat, t_home, ModeSelector(c_home, "V", control),
+        alpha, theta, mode, trace, ancilla)))
+
+
 def controlled_pair(state: HybridState, control: str, target: str,
                     u1: np.ndarray, u2: np.ndarray, alpha: float, theta: float, *,
                     mode: Optional[MeasureMode] = None,
@@ -689,29 +756,10 @@ def controlled_pair(state: HybridState, control: str, target: str,
     and one merging gate brings the paths back together; the ancilla photon
     used by the merging is recycled and its parked location reported.
     """
-    mode = _composite_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
-    u1 = check_unitary(np.asarray(u1, dtype=complex))
-    u2 = check_unitary(np.asarray(u2, dtype=complex))
-    c_home = _home_path(state, control)
-    t_home = _home_path(state, target)
-    state, (aux, seat) = state.fresh_paths(2)
-
-    recs = chain(initial_records(state), lambda rec: c_path(
-        rec.state, control, target, (t_home, aux), alpha, theta,
-        mode=mode, trace=trace))
-    recs = coalesce(recs)
-    if not np.allclose(u1, PAULI_I):
-        recs = map_records(recs, lambda s: s.apply_photon_unitary(
-            target, (t_home, "H"), (t_home, "V"), u1))
-    if not np.allclose(u2, PAULI_I):
-        recs = map_records(recs, lambda s: s.apply_photon_unitary(
-            target, (aux, "H"), (aux, "V"), u2))
-
-    recs = chain(recs, _merge_stage(
-        target, (t_home, aux), seat, t_home, ModeSelector(c_home, "V", control),
-        alpha, theta, mode, trace, ancilla))
-    recs = coalesce(recs)
+    recs = _controlled_pair_records(initial_records(state), control, target,
+                                    u1, u2, alpha, theta, _composite_mode(mode),
+                                    trace, ancilla)
     return GateResult(tuple(recs), trace.report())
 
 
@@ -787,14 +835,8 @@ def synth_two_qubit(state: HybridState, control: str, target: str,
         return map_records(recs, lambda s: _apply_local(s, target, b))
 
     def cp_stage(recs, ua, ub):
-        get_trace = _stage_traces(trace)
-        out = []
-        for rec in recs:
-            res = controlled_pair(rec.state, control, target, ua, ub,
-                                  alpha, theta, mode=mode, trace=get_trace(),
-                                  ancilla=_ancilla_for(rec, ancilla))
-            out.extend(chain([rec], lambda _rec, res=res: res.outcomes))
-        return coalesce(out)
+        return _controlled_pair_records(recs, control, target, ua, ub, alpha,
+                                        theta, mode, trace, ancilla)
 
     recs = initial_records(state)
     recs = locals_stage(recs, params.a3, params.a4)
@@ -862,6 +904,7 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
 
     for photon, pair, seat, home in ((target1, (h1, o1), seat1, h1),
                                      (target2, (h2, o2), seat2, h2)):
+        recs = _fold_onto_seat(recs, seat, mode)
         recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
                                         alpha, theta, mode, trace, ancilla))
         recs = coalesce(recs)
@@ -921,6 +964,7 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
                             seats[j], stage_homes[j],
                             ModeSelector(flags[j], "V")))
     for photon, pair, seat, home, flip in merge_specs:
+        recs = _fold_onto_seat(recs, seat, mode)
         recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
                                         alpha, theta, mode, trace, ancilla))
         recs = coalesce(recs)

@@ -13,10 +13,12 @@ from qubusim.circuits import (
     run_program,
     serialize_program,
 )
-from qubusim.cli import main
+from qubusim.cli import gate_catalog, main
 from qubusim.errors import CutoffTooSmall, ParseError, ValidationError
+from qubusim.verify import extract_process_matrix
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
 
 CNOT_DOC = """
 {
@@ -302,3 +304,30 @@ class TestCommandLine:
             capture_output=True, text=True, cwd=REPO)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+class TestGoldenGateOutputs:
+    """`verify-gate` process matrices and `resources` output against
+    snapshots taken before the composites folded recycled-ancilla records."""
+
+    MATRICES = json.loads((GOLDEN / "verify_gate.json").read_text())
+    RESOURCES = json.loads((GOLDEN / "resources.json").read_text())
+
+    def test_catalog_is_covered(self):
+        catalog = gate_catalog(self.MATRICES["alpha"], self.MATRICES["theta"])
+        assert sorted(catalog) == sorted(self.MATRICES["matrices"])
+
+    @pytest.mark.parametrize("name", sorted(MATRICES["matrices"]))
+    def test_verify_gate_matrix(self, name):
+        nq, runner, _ = gate_catalog(self.MATRICES["alpha"],
+                                     self.MATRICES["theta"])[name]
+        matrix = extract_process_matrix(runner, [(f"q{i}", i) for i in range(nq)])
+        golden = [[complex(re, im) for re, im in row]
+                  for row in self.MATRICES["matrices"][name]]
+        assert matrix.shape == (2 ** nq, 2 ** nq)
+        assert abs(matrix - golden).max() <= 1e-12
+
+    @pytest.mark.parametrize("args", sorted(RESOURCES))
+    def test_resources_output(self, args, capsys):
+        assert main(["resources"] + args.split()) == 0
+        assert capsys.readouterr().out == self.RESOURCES[args]

@@ -1,5 +1,6 @@
 """Composite gates built from controlled-path/merging rounds."""
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qubusim.gates import (
     ExactMode,
     ParkedAncilla,
     QndMode,
+    Record,
     ResourceTrace,
     chain,
     cnot,
@@ -494,6 +496,19 @@ class TestQndPeakClasses:
         assert all(g < w for g, w in zip(by_class, per_peak))
         assert any("ambiguous" in str(r.labels) for r in got)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_tied_branches_match_per_peak(self, monkeypatch, alpha):
+        """A |+⟩ control leaves post-states whose largest branches tie; the
+        per-peak and class paths still coalesce them alike."""
+        h, v = random_qubit_vector(2, np.random.default_rng(7))
+        st = product_state([("C", 0, "+"), ("T", 1, {"H": h, "V": v})])
+        (got, got_res), (want, want_res) = by_class_and_per_n(
+            monkeypatch, lambda tr: c_phase(
+                st, "C", "T", 0.77, alpha, THETA,
+                mode=QndMode(DetectorParams(0.9, 200.0, 0.1)), trace=tr))
+        assert got_res == want_res
+        assert_same_records(got, want)
+
     def test_parity_classes_sum_the_peaks(self):
         det = QND_DETECTORS[1]
         st = class_beam_state(1j * math.sqrt(2.0))
@@ -553,3 +568,130 @@ class TestWorkCounters:
         assert merged == records_in
         assert len(located) == locates
         assert res.total_probability == pytest.approx(1.0, abs=1e-9)
+
+    def test_toffoli_and_synth_counts(self, monkeypatch):
+        """Exact toffoli and synth_two_qubit: `merging`, `_locate_photon` and
+        `canonicalize` calls and each `coalesce`'s records_in.  Each merging
+        after the first runs once per folded record, not once per parked
+        path."""
+        st3 = product_state([("C1", 0, "+"), ("C2", 1, "+"),
+                             ("T", 2, {"H": 0.6, "V": 0.8j})])
+        st2 = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
+        u = random_unitary(4, np.random.default_rng(11))
+        runs = {
+            "toffoli": lambda: toffoli(st3, "C1", "C2", "T", ALPHA, THETA),
+            "synth_two_qubit": lambda: synth_two_qubit(st2, "C", "T", u,
+                                                       ALPHA, THETA),
+        }
+        got = {}
+        for name, run in runs.items():
+            with monkeypatch.context() as m:
+                merged = counting_coalesce(m)
+                calls = count_calls(m, [(gates, "merging"),
+                                        (gates, "_locate_photon"),
+                                        (HybridState, "canonicalize")])
+                res = run()
+            assert res.total_probability == pytest.approx(1.0, abs=1e-9)
+            got[name] = (calls, merged)
+        assert got == {
+            "toffoli": ({"merging": 3, "_locate_photon": 9, "canonicalize": 166},
+                        [3, 3, 12, 4, 24]),
+            "synth_two_qubit": ({"merging": 5, "_locate_photon": 15,
+                                 "canonicalize": 343},
+                                [3, 12, 4, 6, 24, 4, 6, 24, 4]),
+        }
+
+
+def count_calls(monkeypatch, targets):
+    """Calls of each (owner, name) while the context lasts, by name."""
+    counts = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+# -- recycled-ancilla fold against one run per parked path --------------------------
+
+FOLDED_GATES = {
+    **MULTI_QUBIT_GATES,
+    "multi_toffoli_k4": ([("C1", 0), ("C2", 1), ("C3", 2), ("C4", 3), ("T", 4)],
+                         lambda st, u, **kw: multi_toffoli(
+                             st, ["C1", "C2", "C3", "C4"], "T", ALPHA, THETA,
+                             **kw)),
+}
+
+
+class TestRecycledAncillaFold:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FOLDED_GATES))
+    def test_fold_matches_one_run_per_parked_path(self, monkeypatch, name, seed):
+        rng = np.random.default_rng(seed)
+        qubits, gate = FOLDED_GATES[name]
+        st = state_from_amplitudes(qubit_modes(qubits),
+                                   random_qubit_vector(2 ** len(qubits), rng))
+        u = random_unitary(4, rng)
+
+        def run():
+            trace = ResourceTrace()
+            with monkeypatch.context() as m:
+                merges = count_calls(m, [(gates, "merging")])
+                res = gate(st, u, trace=trace)
+            return res.outcomes, trace.report(), merges["merging"]
+
+        got, got_res, got_merges = run()
+        monkeypatch.setattr(gates, "_fold_onto_seat",
+                            lambda records, seat, mode: records)
+        want, want_res, want_merges = run()
+        assert got_res == want_res
+        assert got_merges < want_merges
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.labels, g.ancilla, g.corrections, g.multiplicity) == (
+                w.labels, w.ancilla, w.corrections, w.multiplicity)
+            assert abs(g.probability - w.probability) <= 1e-12
+            assert fidelity(g.state, w.state) >= 1 - 1e-12
+
+    def test_single_record_is_not_folded(self, monkeypatch):
+        merged = counting_coalesce(monkeypatch)
+        rec = Record(labels=(), probability=1.0,
+                     state=product_state([("a", 0, "+")]),
+                     ancilla=("a", 0, 1))
+        assert gates._fold_onto_seat([rec], 3, gates._ClassMode()) == [rec]
+        assert merged == []
+
+    def test_fold_runs_in_exact_class_mode_only(self):
+        st = product_state([("a", 0, "+")]).add_paths([1, 3])
+        recs = [Record(labels=(), probability=0.5, state=st, ancilla=("a", 0, 1)),
+                Record(labels=(), probability=0.5, state=st.swap_paths(0, 1),
+                       ancilla=("a", 1, 1))]
+        qnd = gates._QndClassMode(DetectorParams(0.9, 200.0, 0.1))
+        assert gates._fold_onto_seat(recs, 3, qnd) == recs
+        folded = gates._fold_onto_seat(recs, 3, gates._ClassMode())
+        assert [(r.ancilla, r.probability, r.multiplicity) for r in folded] == [
+            (("a", 3, 1), 1.0, 2)]
+        assert folded[0].state.occupants(3) == {"a"}
+
+
+class TestCoalescePhaseTie:
+    def test_tied_top_branches_coalesce(self):
+        """Two records equal up to a global phase whose two largest |amp|
+        tie; rounding makes a different branch the larger in each."""
+        a = HybridState(("p",), frozenset({0, 1}), 0, (
+            Branch(complex(1 / math.sqrt(2)), ((0, 0),), ()),
+            Branch(cmath.exp(0.3j) / math.sqrt(2), ((1, 1),), ()),
+        ))
+        b = a.scaled(cmath.exp(0.1j))
+        mags_a = [abs(br.amp) for br in a.branches]
+        mags_b = [abs(br.amp) for br in b.branches]
+        assert mags_a[0] >= mags_a[1] and mags_b[1] > mags_b[0]
+        assert mags_b[1] - mags_b[0] < 1e-15
+        out = coalesce([Record((), 0.5, a), Record((), 0.5, b)])
+        assert len(out) == 1
+        assert out[0].probability == pytest.approx(1.0)
+        assert out[0].multiplicity == 2
