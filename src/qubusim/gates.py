@@ -36,11 +36,24 @@ record is the record `coalesce` would make of its members.  A bus with any
 other amplitudes is read per n, or per peak, as before.
 
 Every merging parks the measured photon on one of four localization paths
-as the recycled ancilla, and the next merging first swaps it onto its seat.
-In exact mode the composites make that swap before each later stage (before
-the controlled path, in `controlled_pair`) and coalesce, so records that
-differ only in where the ancilla was parked run that stage once
-(`_fold_onto_seat`).  `QndMode` and `SampleMode` record lists are not folded.
+as the recycled ancilla, in |+⟩ or |−⟩, and the next merging first swaps it
+onto its seat.  In exact mode the composites make that swap before each
+later stage (before the controlled path, in `controlled_pair`), turn a |−⟩
+ancilla into |+⟩ by a recorded π phase on its V mode, and coalesce, so the
+records of one merging run the next stage once (`_fold_onto_seat`).
+`QndMode` and `SampleMode` record lists are not folded.
+
+Inside a composite, `merging` also coalesces the entangler's class records
+once their feed-forward is applied (`_merge_classes`), before the photon is
+localized: they leave the same state up to a global phase.  So each merging
+stage localizes its photon once, and exact Toffoli, Fredkin, 4-control
+Toffoli and U(4) synthesis run 2, 2, 4 and 3 mergings, one per physical
+merging gate.
+
+In `QndMode` a readout the gate cannot correct (an ambiguous entangler or
+controlled-path readout, a no-click or ambiguous localization) is a
+heralded failure: `chain` and `map_records` pass such a record on unchanged,
+and no later stage of the gate runs on it.
 
 `SampleMode` draws n from the bus's photon-number distribution, computed as
 one array, and collapses the bus only at the drawn n (`sample_fock`), so a
@@ -302,12 +315,29 @@ def initial_records(state: HybridState) -> list[Record]:
     return [Record(labels=(), probability=1.0, state=state)]
 
 
+_NO_CORRECTION = "none (ambiguous)"
+_AMBIGUOUS_LABEL = ("qnd", detection.AMBIGUOUS)
+
+
+def _heralded_failure(rec: Record) -> bool:
+    """True for a record whose QND readout could not be corrected: a merging
+    marks it with the correction `none (ambiguous)`, a controlled path with
+    the label `("qnd", "ambiguous")`."""
+    return _NO_CORRECTION in rec.corrections or _AMBIGUOUS_LABEL in rec.labels
+
+
 def chain(records: Sequence[Record],
           stage: Callable[[Record], Union[GateResult, Sequence[Record]]],
           ) -> list[Record]:
-    """Feed every record through a gate stage and flatten the outcome tree."""
+    """Feed every record through a gate stage and flatten the outcome tree.
+
+    A heralded failure ends its chain: it is passed on unchanged, in its
+    place, and later stages do not run on it."""
     out: list[Record] = []
     for rec in records:
+        if _heralded_failure(rec):
+            out.append(rec)
+            continue
         sub = stage(rec)
         sub_records = sub.outcomes if isinstance(sub, GateResult) else sub
         for s in sub_records:
@@ -318,7 +348,9 @@ def chain(records: Sequence[Record],
                 corrections=rec.corrections + s.corrections,
                 recycled_qubus=(s.recycled_qubus if s.recycled_qubus is not None
                                 else rec.recycled_qubus),
-                ancilla=s.ancilla if s.ancilla is not None else rec.ancilla,
+                # a merging that failed leaves no parked ancilla behind
+                ancilla=(s.ancilla if s.ancilla is not None
+                         or _NO_CORRECTION in s.corrections else rec.ancilla),
                 multiplicity=rec.multiplicity * s.multiplicity,
             ))
     return out
@@ -326,7 +358,9 @@ def chain(records: Sequence[Record],
 
 def map_records(records: Sequence[Record],
                 fn: Callable[[HybridState], HybridState]) -> list[Record]:
-    return [replace(rec, state=fn(rec.state)) for rec in records]
+    """Apply `fn` to the state of every record but the heralded failures."""
+    return [rec if _heralded_failure(rec) else replace(rec, state=fn(rec.state))
+            for rec in records]
 
 
 def _phase_canonical(state: HybridState) -> HybridState:
@@ -464,6 +498,20 @@ def c_path(state: HybridState, control: str, target: str,
 
 # -- merging gate -------------------------------------------------------------
 
+def _merge_classes(records: list[Record]) -> list[Record]:
+    """Coalesce a merging's entangler records once their feed-forward is
+    applied, so that the photon is localized once for all of them.
+
+    The composites' entangler bus holds only 0 and ±iβ, and after
+    feed-forward its class records (n = 0, odd and even n; in `QndMode`
+    vacuum, odd and even peaks) leave the same state up to a global phase.
+    Heralded failures are not merged; the readout lists the ambiguous
+    outcome last, so they keep their place after the merged records.
+    """
+    return (coalesce([rec for rec in records if not _heralded_failure(rec)])
+            + [rec for rec in records if _heralded_failure(rec)])
+
+
 @dataclass(frozen=True)
 class FreshAncilla:
     """Inject a new ancilla photon in |+⟩ (sign=+1) or |−⟩ (sign=−1)."""
@@ -550,6 +598,11 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     that entered from the second source path; those pick up the sign fix
     when the photon is localized on a minus-port path (for the standalone
     gate this is the entangled companion photon's V mode).
+
+    The public gate returns one record per entangler outcome n (per peak
+    in `QndMode`) and localization path.  Inside a composite the entangler
+    records are read by class and merged before localization
+    (`_merge_classes`), so the photon is localized once.
     """
     mode = mode or ExactMode()
     trace = trace if trace is not None else ResourceTrace()
@@ -605,31 +658,39 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     # photon on a localization path
     response = (response_matrix(mode.det, povm_bins(mode.det, 1), 1)[1].tolist()
                 if isinstance(mode, QndMode) else None)
-    records = []
+    entangled = []
     for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
+        corrections = []
         if n_hat is None:
             # ambiguous entangler readout: surfaced as a failure record
-            post, recycled = _detach_if_uniform(post, b1)
-            records.append(Record(labels=(label,), probability=prob,
-                                  state=post.canonicalize(1e-12),
-                                  corrections=("none (ambiguous)",),
-                                  recycled_qubus=recycled, multiplicity=mult))
-            continue
-        corrections = []
-        if n_hat != 0:
-            post = post.apply_photon_unitary(anc, (dest_path, "H"),
-                                             (dest_path, "V"), PAULI_X)
-            corrections.append("ancilla bit flip")
-        if (n_hat % 2 == 1) != (sign < 0):
-            post = phase_shift(post, ModeSelector(dest_path, "V", anc), math.pi)
-            corrections.append("pi phase on ancilla V mode")
+            corrections.append(_NO_CORRECTION)
+        else:
+            if n_hat != 0:
+                post = post.apply_photon_unitary(anc, (dest_path, "H"),
+                                                 (dest_path, "V"), PAULI_X)
+                corrections.append("ancilla bit flip")
+            if (n_hat % 2 == 1) != (sign < 0):
+                post = phase_shift(post, ModeSelector(dest_path, "V", anc),
+                                   math.pi)
+                corrections.append("pi phase on ancilla V mode")
         post, recycled = _detach_if_uniform(post, b1)
-        post = photon_bs(post, p, q)
+        entangled.append(Record(labels=(label,), probability=prob, state=post,
+                                corrections=tuple(corrections),
+                                recycled_qubus=recycled, multiplicity=mult))
+    if isinstance(mode, (_ClassMode, _QndClassMode)):
+        entangled = _merge_classes(entangled)
+
+    records = []
+    for rec in entangled:
+        if _heralded_failure(rec):
+            records.append(replace(rec, state=rec.state.canonicalize(1e-12)))
+            continue
+        post = photon_bs(rec.state, p, q)
         post = pbs_diag(post, transmit={p: t_p_plus, q: t_q_plus},
                         reflect={p: t_p_minus, q: t_q_minus})
         for t, sub_label, sub_prob, sub, correctable in _locate_photon(
                 post, photon, qnd_paths, mode, response):
-            sub_corr = list(corrections)
+            sub_corr = list(rec.corrections)
             if correctable:
                 if t in minus_port_paths:
                     sub = phase_shift(sub, companion_flip, math.pi)
@@ -642,12 +703,14 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
                 sub = sub.swap_photon_labels(photon, anc)
                 parked = (anc, t, pol_sign)
             else:
-                sub_corr.append("none (ambiguous)")
+                sub_corr.append(_NO_CORRECTION)
                 parked = None
             records.append(Record(
-                labels=(label, sub_label), probability=prob * sub_prob,
+                labels=rec.labels + (sub_label,),
+                probability=rec.probability * sub_prob,
                 state=sub.canonicalize(1e-12), corrections=tuple(sub_corr),
-                recycled_qubus=recycled, ancilla=parked, multiplicity=mult))
+                recycled_qubus=rec.recycled_qubus, ancilla=parked,
+                multiplicity=rec.multiplicity))
     return GateResult(tuple(records), trace.report())
 
 
@@ -675,13 +738,15 @@ def _ancilla_for(rec: Record, ancilla: Optional[AncillaSpec]) -> AncillaSpec:
 
 def _fold_onto_seat(records: list[Record], seat: int,
                     mode: MeasureMode) -> list[Record]:
-    """Move every parked ancilla onto the next merging's seat, then coalesce.
+    """Move every parked ancilla onto the next merging's seat as |+⟩, then
+    coalesce.
 
     A merging leaves records that differ only in where it parked the
-    ancilla, and the next merging first swaps a parked ancilla onto its seat.
-    Making that swap here lets those records coalesce, so every later stage
-    runs once for them.  Exact composites only; a list with fewer than two
-    parked ancillas is returned as it is.
+    ancilla and in the ancilla's sign.  The next merging first swaps a
+    parked ancilla onto its seat; that swap is made here, and `_fold_sign`
+    turns a |−⟩ ancilla into |+⟩.  The records then coalesce, so every
+    later stage runs once for them.  Exact composites only; a list with
+    fewer than two parked ancillas is returned as it is.
     """
     if (not isinstance(mode, _ClassMode)
             or sum(rec.ancilla is not None for rec in records) < 2):
@@ -690,10 +755,27 @@ def _fold_onto_seat(records: list[Record], seat: int,
     for rec in records:
         if rec.ancilla is not None:
             photon, path, sign = rec.ancilla
-            rec = replace(rec, state=rec.state.swap_paths(path, seat),
-                          ancilla=(photon, seat, sign))
+            rec = _fold_sign(replace(rec, state=rec.state.swap_paths(path, seat),
+                                     ancilla=(photon, seat, sign)))
         moved.append(rec)
     return coalesce(moved)
+
+
+def _fold_sign(rec: Record) -> Record:
+    """A record whose ancilla is parked as |−⟩ (sign −1), with the ancilla
+    turned into |+⟩ by a feed-forward π phase on its V mode.
+
+    A merging parks the photon as |−⟩ on a minus-polarization path.  With
+    the phase recorded as a correction and the sign set to +1, the next
+    merging runs the same feed-forward for both signs.
+    """
+    photon, path, sign = rec.ancilla
+    if sign > 0:
+        return rec
+    state = phase_shift(rec.state, ModeSelector(path, "V", photon), math.pi)
+    corrections = rec.corrections + ("pi phase on parked ancilla V mode",)
+    return replace(rec, state=state, corrections=corrections,
+                   ancilla=(photon, path, 1))
 
 
 def _merge_stage(photon: str, pair: tuple[int, int], seat: int, home: int,
@@ -722,7 +804,7 @@ def _controlled_pair_records(records: list[Record], control: str, target: str,
     paths and photon homes, as the records of one gate chain do."""
     u1 = check_unitary(np.asarray(u1, dtype=complex))
     u2 = check_unitary(np.asarray(u2, dtype=complex))
-    first = records[0].state
+    first = next(rec for rec in records if not _heralded_failure(rec)).state
     c_home = _home_path(first, control)
     t_home = _home_path(first, target)
     _, (aux, seat) = first.fresh_paths(2)

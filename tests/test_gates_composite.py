@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from qubusim.verify import (
     ideal_cnot,
     ideal_cz,
     ideal_fredkin,
+    ideal_multi_toffoli,
     ideal_swap,
     ideal_toffoli,
     matrix_residual_up_to_phase,
@@ -343,15 +345,18 @@ TWO_QUBIT_GATES = {
 }
 
 MULTI_QUBIT_GATES = {
-    "toffoli": ([("C1", 0), ("C2", 1), ("T", 2)], lambda st, u, **kw: toffoli(
-        st, "C1", "C2", "T", ALPHA, THETA, **kw)),
-    "fredkin": ([("C", 0), ("T1", 1), ("T2", 2)], lambda st, u, **kw: fredkin(
-        st, "C", "T1", "T2", ALPHA, THETA, **kw)),
+    "toffoli": ([("C1", 0), ("C2", 1), ("T", 2)],
+                lambda st, u, alpha=ALPHA, **kw: toffoli(
+                    st, "C1", "C2", "T", alpha, THETA, **kw)),
+    "fredkin": ([("C", 0), ("T1", 1), ("T2", 2)],
+                lambda st, u, alpha=ALPHA, **kw: fredkin(
+                    st, "C", "T1", "T2", alpha, THETA, **kw)),
     "multi_toffoli": ([("C1", 0), ("C2", 1), ("C3", 2), ("T", 3)],
-                      lambda st, u, **kw: multi_toffoli(
-                          st, ["C1", "C2", "C3"], "T", ALPHA, THETA, **kw)),
-    "synth_two_qubit": ([("C", 0), ("T", 1)], lambda st, u, **kw: synth_two_qubit(
-        st, "C", "T", u, ALPHA, THETA, **kw)),
+                      lambda st, u, alpha=ALPHA, **kw: multi_toffoli(
+                          st, ["C1", "C2", "C3"], "T", alpha, THETA, **kw)),
+    "synth_two_qubit": ([("C", 0), ("T", 1)],
+                        lambda st, u, alpha=ALPHA, **kw: synth_two_qubit(
+                            st, "C", "T", u, alpha, THETA, **kw)),
 }
 
 
@@ -491,9 +496,14 @@ class TestQndPeakClasses:
                                          trace=tr))
         assert got_res == want_res
         assert_same_records(got, want)
-        # the class path ran: each stage merged fewer records
-        by_class, per_peak = merged[:2], merged[2:]
-        assert all(g < w for g, w in zip(by_class, per_peak))
+        # the class path ran: each coalesce after a bus readout (the
+        # controlled path's, then the entangler's per record) took in fewer
+        # records; the closing one took as many, because both paths merge
+        # the entangler records before the photon is localized
+        by_class, per_peak = merged[:len(merged) // 2], merged[len(merged) // 2:]
+        assert len(by_class) == len(per_peak) >= 3
+        assert all(g < w for g, w in zip(by_class[:-1], per_peak[:-1]))
+        assert by_class[-1] == per_peak[-1]
         assert any("ambiguous" in str(r.labels) for r in got)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -547,11 +557,12 @@ class TestQndPeakClasses:
 class TestWorkCounters:
     """Deterministic work counts of fixed gate calls, pinned as regression
     guards: the records each `coalesce` takes in and the `_locate_photon`
-    calls (one per merging-readout record that is not ambiguous)."""
+    calls (one per merging: the entangler's class records are merged before
+    the photon is localized)."""
 
     @pytest.mark.parametrize("mode,records_in,locates", [
-        (None, [3, 12], 3),
-        (QndMode(DetectorParams(0.9, 200.0, 0.1)), [4, 56], 6),
+        (None, [3, 3, 4], 1),
+        (QndMode(DetectorParams(0.9, 200.0, 0.1)), [4, 3, 11], 1),
     ], ids=["exact", "qnd"])
     def test_cnot_counts(self, monkeypatch, mode, records_in, locates):
         merged = counting_coalesce(monkeypatch)
@@ -570,16 +581,20 @@ class TestWorkCounters:
         assert res.total_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_toffoli_and_synth_counts(self, monkeypatch):
-        """Exact toffoli and synth_two_qubit: `merging`, `_locate_photon` and
-        `canonicalize` calls and each `coalesce`'s records_in.  Each merging
-        after the first runs once per folded record, not once per parked
-        path."""
+        """Exact toffoli, 4-control multi_toffoli and synth_two_qubit:
+        `merging`, `_locate_photon` and `canonicalize` calls and each
+        `coalesce`'s records_in.  Every merging stage runs once: the folded
+        records coalesce whatever their ancilla's path and sign."""
         st3 = product_state([("C1", 0, "+"), ("C2", 1, "+"),
                              ("T", 2, {"H": 0.6, "V": 0.8j})])
+        st5 = product_state([(f"C{i}", i, "+") for i in range(4)]
+                            + [("T", 4, {"H": 0.6, "V": 0.8j})])
         st2 = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
         u = random_unitary(4, np.random.default_rng(11))
         runs = {
             "toffoli": lambda: toffoli(st3, "C1", "C2", "T", ALPHA, THETA),
+            "multi_toffoli_k4": lambda: multi_toffoli(
+                st5, ["C0", "C1", "C2", "C3"], "T", ALPHA, THETA),
             "synth_two_qubit": lambda: synth_two_qubit(st2, "C", "T", u,
                                                        ALPHA, THETA),
         }
@@ -594,12 +609,39 @@ class TestWorkCounters:
             assert res.total_probability == pytest.approx(1.0, abs=1e-9)
             got[name] = (calls, merged)
         assert got == {
-            "toffoli": ({"merging": 3, "_locate_photon": 9, "canonicalize": 166},
-                        [3, 3, 12, 4, 24]),
-            "synth_two_qubit": ({"merging": 5, "_locate_photon": 15,
-                                 "canonicalize": 343},
-                                [3, 12, 4, 6, 24, 4, 6, 24, 4]),
+            "toffoli": ({"merging": 2, "_locate_photon": 2, "canonicalize": 69},
+                        [3, 3, 3, 4, 4, 3, 4]),
+            "multi_toffoli_k4": (
+                {"merging": 4, "_locate_photon": 4, "canonicalize": 141},
+                [3, 3, 3, 3, 3, 4, 4, 3, 4, 4, 3, 4, 4, 3, 4]),
+            "synth_two_qubit": ({"merging": 3, "_locate_photon": 3,
+                                 "canonicalize": 150},
+                                [3, 3, 4, 4, 3, 3, 4, 4, 3, 3, 4, 4]),
         }
+
+    @pytest.mark.parametrize("gate,alpha,theta,collapses", [
+        ("cnot", 20.0, 0.5, 6), ("cnot", 1000.0, 0.01, 6),
+        ("toffoli", ALPHA, THETA, 12),
+    ])
+    def test_fock_outcomes_per_bus(self, monkeypatch, gate, alpha, theta,
+                                   collapses):
+        """Exact composites collapse each measured bus three times, once per
+        outcome class (n = 0, first odd n, first even n), at any bus mean
+        (about 184 and 200 photons for the two cnot settings), and never
+        enumerate per n."""
+        with monkeypatch.context() as m:
+            calls = count_calls(m, [(detection, "_fock_collapse"),
+                                    (gates, "enumerate_fock_outcomes")])
+            if gate == "cnot":
+                st = product_state([("C", 0, "+"), ("T", 1, "H")])
+                res = cnot(st, "C", "T", alpha, theta)
+            else:
+                st = product_state([("C1", 0, "+"), ("C2", 1, "+"),
+                                    ("T", 2, "H")])
+                res = toffoli(st, "C1", "C2", "T", alpha, theta)
+        assert res.total_probability == pytest.approx(1.0, abs=1e-9)
+        assert calls == {"_fock_collapse": collapses,
+                         "enumerate_fock_outcomes": 0}
 
 
 def count_calls(monkeypatch, targets):
@@ -614,6 +656,16 @@ def count_calls(monkeypatch, targets):
 
         monkeypatch.setattr(owner, name, counting)
     return counts
+
+
+def assert_same_up_to_phase(got, want):
+    """Records equal in everything but the global phase of their states."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.labels, g.ancilla, g.corrections, g.multiplicity) == (
+            w.labels, w.ancilla, w.corrections, w.multiplicity)
+        assert abs(g.probability - w.probability) <= 1e-12
+        assert fidelity(g.state, w.state) >= 1 - 1e-12
 
 
 # -- recycled-ancilla fold against one run per parked path --------------------------
@@ -650,12 +702,7 @@ class TestRecycledAncillaFold:
         want, want_res, want_merges = run()
         assert got_res == want_res
         assert got_merges < want_merges
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.labels, g.ancilla, g.corrections, g.multiplicity) == (
-                w.labels, w.ancilla, w.corrections, w.multiplicity)
-            assert abs(g.probability - w.probability) <= 1e-12
-            assert fidelity(g.state, w.state) >= 1 - 1e-12
+        assert_same_up_to_phase(got, want)
 
     def test_single_record_is_not_folded(self, monkeypatch):
         merged = counting_coalesce(monkeypatch)
@@ -676,6 +723,140 @@ class TestRecycledAncillaFold:
         assert [(r.ancilla, r.probability, r.multiplicity) for r in folded] == [
             (("a", 3, 1), 1.0, 2)]
         assert folded[0].state.occupants(3) == {"a"}
+
+    def test_minus_ancilla_is_seated_as_plus(self):
+        plus = product_state([("a", 0, "+")]).add_paths([1, 3])
+        minus = product_state([("a", 1, "-")]).add_paths([0, 3])
+        recs = [Record(labels=("p",), probability=0.25, state=plus,
+                       ancilla=("a", 0, 1)),
+                Record(labels=("m",), probability=0.75, state=minus,
+                       corrections=("x",), ancilla=("a", 1, -1))]
+        folded = gates._fold_onto_seat(recs, 3, gates._ClassMode())
+        assert [(r.labels, r.ancilla, r.probability, r.multiplicity)
+                for r in folded] == [(("p",), ("a", 3, 1), 1.0, 2)]
+        seated = gates._fold_sign(replace(recs[1], state=minus.swap_paths(1, 3),
+                                          ancilla=("a", 3, -1)))
+        assert seated.ancilla == ("a", 3, 1)
+        assert seated.corrections == ("x", "pi phase on parked ancilla V mode")
+        want = product_state([("a", 3, "+")]).add_paths([0, 1])
+        assert fidelity(seated.state, want) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- one localization per merging against the slow path -------------------------------
+
+LOCALIZE_ONCE_GATES = {
+    **{name: (qubits, gate, None) for name, (qubits, gate) in FOLDED_GATES.items()},
+    **{f"{name}_{tag}": ([("C", 0), ("T", 1)],
+                         lambda st, u, gate=gate, **kw: gate(st, ALPHA, THETA, **kw),
+                         mode)
+       for name, gate in TWO_QUBIT_GATES.items()
+       for tag, mode in (("exact", None), ("qnd", QndMode(QND_DETECTORS[0])))},
+}
+
+SLOW_PATHS = {"sign": ("_fold_sign",), "classes": ("_merge_classes",),
+              "both": ("_fold_sign", "_merge_classes")}
+
+
+class TestLocalizeOncePerMerging:
+    """The sign fold (`_fold_sign`) and the entangler class merge
+    (`_merge_classes`) against the same gates with either helper, or both,
+    patched to the identity."""
+
+    @pytest.mark.parametrize("name,slow", [
+        (name, slow) for name in sorted(LOCALIZE_ONCE_GATES) for slow in SLOW_PATHS
+        # one merging leaves no parked ancilla to fold
+        if slow != "sign" or name in FOLDED_GATES])
+    def test_matches_the_slow_path(self, monkeypatch, name, slow):
+        qubits, gate, mode = LOCALIZE_ONCE_GATES[name]
+        rng = np.random.default_rng(5)
+        st = state_from_amplitudes(qubit_modes(qubits),
+                                   random_qubit_vector(2 ** len(qubits), rng))
+        u = random_unitary(4, rng)
+
+        def run():
+            trace = ResourceTrace()
+            with monkeypatch.context() as m:
+                calls = count_calls(m, [(gates, "merging"),
+                                        (gates, "_locate_photon")])
+                res = gate(st, u, mode=mode, trace=trace)
+            return res.outcomes, trace.report(), calls
+
+        got, got_res, got_calls = run()
+        for helper in SLOW_PATHS[slow]:
+            monkeypatch.setattr(gates, helper, lambda records: records)
+        want, want_res, want_calls = run()
+        assert got_res == want_res
+        assert_same_up_to_phase(got, want)
+        assert got_calls["_locate_photon"] < want_calls["_locate_photon"]
+        if "_fold_sign" in SLOW_PATHS[slow] and name in FOLDED_GATES:
+            assert got_calls["merging"] < want_calls["merging"]
+        else:
+            assert got_calls["merging"] == want_calls["merging"]
+
+
+# -- QND readout: a heralded failure ends its chain -----------------------------------
+
+def is_heralded_failure(rec):
+    return ("none (ambiguous)" in rec.corrections
+            or any("ambiguous" in str(lab) for lab in rec.labels))
+
+
+MULTI_QUBIT_IDEALS = {
+    "toffoli": lambda u: ideal_toffoli(),
+    "fredkin": lambda u: ideal_fredkin(),
+    "multi_toffoli": lambda u: ideal_multi_toffoli(3),
+    "synth_two_qubit": lambda u: u,
+}
+
+
+class TestHeraldedFailures:
+    def test_chain_and_map_records_pass_failures_on(self):
+        st = product_state([("a", 0, "H")]).add_paths([1])
+        good = Record(labels=("g",), probability=0.5, state=st)
+        by_correction = Record(labels=("x",), probability=0.25, state=st,
+                               corrections=("none (ambiguous)",))
+        by_label = Record(labels=(("qnd", "ambiguous"),), probability=0.25,
+                          state=st)
+        recs = [by_correction, good, by_label]
+        moved = lambda s: s.swap_paths(0, 1)
+        assert gates.map_records(recs, moved) == [
+            by_correction, replace(good, state=moved(st)), by_label]
+        ran = []
+
+        def stage(rec):
+            ran.append(rec)
+            return [Record(labels=("s",), probability=1.0, state=moved(rec.state))]
+
+        out = chain(recs, stage)
+        assert ran == [good]
+        assert out[0] is by_correction and out[2] is by_label
+        assert (out[1].labels, out[1].probability) == (("g", "s"), 0.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(MULTI_QUBIT_GATES))
+    def test_multi_qubit_gates_under_qnd_readout(self, rng, name, alpha):
+        """At eta 0.9, gamma 200, theta_p 0.1 every record is the ideal
+        output or a heralded failure, and the resources are those of the
+        full circuit."""
+        qubits, gate = MULTI_QUBIT_GATES[name]
+        vec = random_qubit_vector(2 ** len(qubits), rng)
+        st = state_from_amplitudes(qubit_modes(qubits), vec)
+        u = random_unitary(4, rng)
+        trace, exact_trace = ResourceTrace(), ResourceTrace()
+        res = gate(st, u, alpha=alpha, mode=QndMode(QND_DETECTORS[0]),
+                   trace=trace)
+        gate(st, u, alpha=alpha, trace=exact_trace)
+        assert res.total_probability == pytest.approx(1.0, abs=1e-9)
+        assert trace.report() == exact_trace.report()
+        failures = [r for r in res.outcomes if is_heralded_failure(r)]
+        assert 0 < len(failures) < len(res.outcomes)
+        out = MULTI_QUBIT_IDEALS[name](u) @ vec
+        for rec in res.outcomes:
+            if rec not in failures:
+                assert record_fidelity(rec, qubits, out) >= 1 - 1e-9
+            if rec.ancilla is not None:
+                photon, path, _ = rec.ancilla
+                assert rec.state.occupants(path) == {photon}
 
 
 class TestCoalescePhaseTie:
