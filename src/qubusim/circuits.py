@@ -1,105 +1,341 @@
 """Declarative circuit programs: JSON documents in, outcome reports out.
 
-A program document has four sections:
+A program document has five sections:
 
-* ``photons``: initial single-photon qubits — id, path, polarization state
-  ("H", "V", "+", "-" or {"H": [re, im], "V": [re, im]}, normalized);
-* ``beams``: initial live qubus amplitudes as [re, im] pairs;
-* ``circuit``: the ordered instruction list (elements, measurements and
-  gates; ``REQUIRED_FIELDS`` below lists each op with the fields it needs,
-  ``OPTIONAL_FIELDS`` the per-gate alpha/theta any op may carry);
-* ``run``: options — mode "exact" or "sample", seed, shots (an integer
-  ≥ 1), default gate alpha/theta, optional detector {eta, gamma, theta_p},
-  Poisson tail and cutoff (``RUN_FIELDS``).
+* ``photons``: a list of initial single-photon qubits — id, path,
+  polarization state ("H", "V", "+", "-" or {"H": [re, im], "V": [re, im]},
+  normalized);
+* ``beams``: a list of initial live qubus amplitudes as [re, im] pairs;
+* ``paths``: a list of extra path numbers to register;
+* ``circuit``: the ordered instruction list;
+* ``run``: options (``RUN_FIELDS``) — mode "exact" or "sample", seed (an
+  integer ≥ 0), shots (an integer ≥ 1), default gate alpha/theta, optional
+  detector {eta, gamma, theta_p}, Poisson tail and cutoff.
+
+``OPS`` is the one table of instructions: it maps each op to its fields and
+to the function that applies it to a list of records.  Each field has a
+kind (path pair, photon id or id pair, route map, selector ``pol``, 2×2 or
+4×4 matrix, finite number, ...), which `parse_circuit` checks and
+`apply_program_instruction` converts.  Every op may also carry ``alpha``
+and ``theta``, which default to the run's.  Element ops build an
+`elements.Instruction` and run `elements.apply_instruction`, as the oracle
+does; gate ops run their gate on every record, with the ancilla a record
+has parked (`gates._ancilla_for`).  Functions are looked up on their
+modules when an op runs, not when the table is built.
 
 Malformed documents raise ParseError; well-formed documents with dangling
-references or unnormalized states raise ValidationError.  Reports are plain
-dicts with deterministic ordering so equal runs serialize byte-identically.
+references, a photon named twice in one op, or unnormalized states raise
+ValidationError.  Reports are plain dicts with deterministic ordering so
+equal runs serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import math
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .detection import DetectorParams, enumerate_fock_outcomes, qnd_detect, sample_fock
-from .elements import (
-    ANY,
-    ModeSelector,
-    pbs_diag,
-    pbs_hv,
-    phase_shift,
-    photon_bs,
-    qubus_bs,
-    qubus_phase,
-    xpm,
-)
-from .errors import ParseError, SimulatorError, ValidationError
-from .gates import (
-    ExactMode,
-    FreshAncilla,
-    ParkedAncilla,
-    Record,
-    ResourceTrace,
-    SampleMode,
-    c_path,
-    c_phase,
-    chain,
-    cnot,
-    coalesce,
-    controlled_pair,
-    cz,
-    fredkin,
-    initial_records,
-    merging,
-    multi_toffoli,
-    synth_two_qubit,
-    toffoli,
-)
-from .state import HybridState, product_state
+from . import detection, elements, gates
+from .detection import DetectorParams
+from .elements import ANY, ModeSelector
+from .errors import ParseError, PreconditionViolation, SimulatorError, ValidationError
+from .gates import Record
+from .state import HybridState, pol_amplitudes, product_state
 
-# every op with the fields it reads and their JSON types; parse_circuit
-# checks them
-_TWO_QUBIT = {"control": str, "target": str}
-REQUIRED_FIELDS = {
-    # elements
-    "photon_bs": {"paths": list},
-    "pbs_hv": {"transmit": dict, "reflect": dict},
-    "pbs_diag": {"transmit": dict, "reflect": dict},
-    "phase_shift": {"path": int, "phi": float},
-    "qubus_phase": {"beam": int, "phi": float},
-    "qubus_bs": {"beams": list},
-    "xpm": {"path": int, "beam": int},
-    "photon_unitary": {"photon": str, "modes": list, "matrix": list},
-    "swap_paths": {"paths": list},
-    # measurements
-    "measure_fock": {"beam": int},
-    "qnd": {"beam": int},
-    # gates
-    "c_path": {**_TWO_QUBIT, "target_paths": list},
-    "merging": {"photon": str, "source_paths": list, "dest": int,
-                "companion_flip": dict},
-    "cnot": _TWO_QUBIT,
-    "cz": _TWO_QUBIT,
-    "c_phase": {**_TWO_QUBIT, "phi": float},
-    "controlled_pair": {**_TWO_QUBIT, "u1": list, "u2": list},
-    "two_qubit": {**_TWO_QUBIT, "matrix": list},
-    "fredkin": {"control": str, "targets": list},
-    "toffoli": {"controls": list, "target": str},
-    "multi_toffoli": {"controls": list, "target": str},
-}
-INSTRUCTIONS = tuple(REQUIRED_FIELDS)
-# optional fields any op may carry (the per-gate qubus parameters), and the
-# run options, with their JSON types; a null "cutoff" means the default
-OPTIONAL_FIELDS = {"alpha": float, "theta": float}
-RUN_FIELDS = {"seed": int, "alpha": float, "theta": float, "tail": float}
-# fields naming two paths (photon_bs/swap_paths, c_path, merging)
-_PATH_PAIRS = ("paths", "target_paths", "source_paths")
+# -- field kinds -------------------------------------------------------------
+
+_REQUIRED = object()
 _POL_LABELS = ("H", "V", "h", "v", 0, 1)
-_SELECTOR_POLS = _POL_LABELS + (ANY,)
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+def _is_complex(val) -> bool:
+    return _is_number(val) or (isinstance(val, list) and len(val) == 2
+                               and all(map(_is_number, val)))
+
+
+def _to_complex(val) -> complex:
+    return complex(*val) if isinstance(val, list) else complex(val)
+
+
+def _is_list(val, item, min_len: int = 0, max_len: Optional[int] = None) -> bool:
+    return (isinstance(val, list) and min_len <= len(val)
+            and (max_len is None or len(val) <= max_len) and all(map(item, val)))
+
+
+def _is_matrix(dim: int) -> Callable[[object], bool]:
+    row = lambda r: _is_list(r, _is_complex, dim, dim)
+    return lambda val: _is_list(val, row, dim, dim)
+
+
+def _is_pol_state(val) -> bool:
+    if isinstance(val, dict):
+        return all(_is_complex(val.get(key, 0)) for key in ("H", "V"))
+    try:
+        return isinstance(val, str) and bool(pol_amplitudes(val))
+    except PreconditionViolation:
+        return False
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The shape of one field: `ok` tests its JSON value and `convert`
+    turns the value into what the op applies.  `photons` marks a value
+    that names photons of the document; a default of None also stands for
+    a null value."""
+
+    what: str
+    ok: Callable[[object], bool]
+    convert: Callable[[object], object] = lambda val: val
+    photons: bool = False
+    default: object = _REQUIRED
+    fields: Optional[dict] = None   # of a JSON object, reported at where.key
+
+    def optional(self, default=None) -> "_Kind":
+        return replace(self, default=default)
+
+    def parse(self, val, key: str, where: str):
+        if not self.ok(val):
+            raise ParseError(f"field {key!r} must be {self.what}", where)
+        if self.fields is not None:
+            val = _fields(val, self.fields, f"{where}.{key}")
+        return self.convert(val)
+
+
+def _fields(obj: dict, fields: dict, where: str) -> dict:
+    """The `fields` of a JSON object, each converted by its kind; an
+    optional field that is absent takes its default."""
+    out = {}
+    for key, kind in fields.items():
+        if key in obj and not (obj[key] is None and kind.default is None):
+            out[key] = kind.parse(obj[key], key, where)
+        elif kind.default is _REQUIRED:
+            raise ParseError(f"missing field {key!r}", where)
+        else:
+            out[key] = kind.default
+    return out
+
+
+_INT = _Kind("an integer", _is_int)
+_NUMBER = _Kind("a finite number", _is_number, float)
+_COMPLEX = _Kind("a number or an [re, im] pair", _is_complex, _to_complex)
+_NAME = _Kind("a photon id", lambda val: isinstance(val, str))
+_PHOTON = replace(_NAME, photons=True)
+_PHOTON_PAIR = _Kind("a pair of photon ids",
+                     lambda val: _is_list(val, _NAME.ok, 2, 2), tuple, photons=True)
+_PHOTON_LIST = _Kind("a list of at least two photon ids",
+                     lambda val: _is_list(val, _NAME.ok, 2), list, photons=True)
+_PATH_PAIR = _Kind("a pair of path numbers", lambda val: _is_list(val, _is_int, 2, 2),
+                   tuple)
+_BEAM_PAIR = replace(_PATH_PAIR, what="a pair of beam numbers")
+_ROUTES = _Kind("a map of path numbers to path numbers",
+                lambda val: isinstance(val, dict) and all(
+                    k.removeprefix("-").isdecimal() and _is_int(v) for k, v in val.items()),
+                lambda val: tuple((int(k), v) for k, v in val.items()))
+_POL = _Kind("H, V or ANY", lambda val: val in _POL_LABELS + (ANY,))
+_MODES = _Kind("two [path, polarization] pairs",
+               lambda val: _is_list(val, lambda m: isinstance(m, list) and len(m) == 2
+                                    and _is_int(m[0]) and m[1] in _POL_LABELS, 2, 2),
+               lambda val: tuple(tuple(mode) for mode in val))
+_MATRIX2 = _Kind("a 2x2 matrix", _is_matrix(2),
+                 lambda val: np.array([[_to_complex(x) for x in row] for row in val]))
+_MATRIX4 = replace(_MATRIX2, what="a 4x4 matrix", ok=_is_matrix(4))
+
+# the selector of phase_shift and xpm, and merging's companion_flip
+_SELECTOR = {"path": _INT, "pol": _POL.optional(ANY), "photon": _NAME.optional(None)}
+_OBJECT = _Kind("an object", lambda val: isinstance(val, dict))
+_COMPANION_FLIP = replace(_OBJECT, convert=lambda a: ModeSelector(**a),
+                          fields={**_SELECTOR, "pol": _POL.optional("V")})
+_ANCILLA = replace(_OBJECT, convert=lambda a: gates.FreshAncilla(**a),
+                   fields={"photon": _NAME.optional("ancilla"),
+                           "sign": _Kind("1 or -1", lambda val: val in (1, -1), int)
+                           .optional(1)}).optional(None)
+
+# -- the op table ------------------------------------------------------------
+
+
+class _Step(NamedTuple):
+    """What an op runs in: its index, the program, the measurement mode and
+    the run's resource trace."""
+    k: int
+    program: "CircuitProgram"
+    mode: object
+    trace: gates.ResourceTrace
+
+
+@dataclass(frozen=True)
+class _Op:
+    run: Callable[[list, dict, _Step], list]
+    fields: dict
+
+
+def _op(run, **fields) -> _Op:
+    return _Op(run, {**fields, "alpha": _NUMBER.optional(), "theta": _NUMBER.optional()})
+
+
+def _element(build, new_paths=lambda a: ()):
+    """An op that maps every record's state.  `build(args)` gives an
+    `elements.Instruction`, run by `elements.apply_instruction`, or a
+    function of the state; the paths `new_paths(args)` are registered
+    first."""
+    def run(records, a, step):
+        made, paths = build(a), set(new_paths(a))
+        fn = made if callable(made) else lambda s: elements.apply_instruction(s, made)
+        return [replace(rec, state=fn(rec.state.add_paths(paths))) for rec in records]
+    return run
+
+
+def _route_targets(a) -> set:
+    return {path for _, path in a["transmit"] + a["reflect"]}
+
+
+def _selector(a) -> ModeSelector:
+    return ModeSelector(a["path"], a["pol"], a["photon"])
+
+
+def _gate(call):
+    """A gate op: `call(state, args, ancilla, **kw)` runs the gate on one
+    record, with the ancilla that record's merging uses and keywords alpha,
+    theta, mode and trace.  New labels are tagged with the instruction index
+    and the records coalesced.  The run's trace goes to the first call only,
+    so that each instruction's resources are logged once."""
+    def run(records, a, step):
+        traces = iter([step.trace])
+        start = len(records[0].labels) if records else 0
+        subs = gates.chain(records, lambda rec: call(
+            rec.state, a, gates._ancilla_for(rec, a.get("ancilla")),
+            alpha=a["alpha"], theta=a["theta"], mode=step.mode,
+            trace=next(traces, None)))
+        return gates.coalesce(_tag_labels(subs, step.k, start))
+    return run
+
+
+def _readout(tag: str, read):
+    """A measurement op: `read(state, args, step)` lists the (value,
+    probability, post-state) of each outcome, one drawn outcome in sample
+    mode; each outcome extends the record by the label (k.tag, value)."""
+    def run(records, a, step):
+        return [replace(rec, labels=rec.labels + ((f"{step.k}.{tag}", val),),
+                        probability=rec.probability * p, state=post)
+                for rec in records for val, p, post in read(rec.state, a, step)]
+    return run
+
+
+def _fock(state, a, step):
+    program = step.program
+    cutoff = a["cutoff"] if a["cutoff"] is not None else program.cutoff
+    if isinstance(step.mode, gates.SampleMode):
+        n, post = detection.sample_fock(state, a["beam"], step.mode.rng,
+                                        tail=program.tail, cutoff=cutoff)
+        return [(n, 1.0, post)]
+    return detection.enumerate_fock_outcomes(state, a["beam"], tail=program.tail,
+                                             cutoff=cutoff)
+
+
+def _qnd(state, a, step):
+    det, tail = step.program.detector, step.program.tail
+    if det is None:
+        raise ValidationError("qnd instruction needs run.detector")
+    if isinstance(step.mode, gates.SampleMode):
+        oc, post = detection.qnd_detect(state, a["beam"], det, mode="sample",
+                                        rng=step.mode.rng, tail=tail)
+        outcomes = [(oc, 1.0, post)]
+    else:
+        outcomes = [(oc, oc.probability, post) for oc, post in detection.qnd_detect(
+            state, a["beam"], det, tail=tail) if post is not None]
+    return [(oc.tag if oc.k is None else f"{oc.tag}:{oc.k}", p, post)
+            for oc, p, post in outcomes]
+
+
+_TWO_QUBIT = {"control": _PHOTON, "target": _PHOTON}
+
+OPS = {
+    # elements
+    "photon_bs": _op(_element(lambda a: elements.PhotonBS(*a["paths"])),
+                     paths=_PATH_PAIR),
+    "pbs_hv": _op(_element(lambda a: elements.PbsHV(a["transmit"], a["reflect"]),
+                           _route_targets), transmit=_ROUTES, reflect=_ROUTES),
+    "pbs_diag": _op(_element(lambda a: elements.PbsDiag(a["transmit"], a["reflect"]),
+                             _route_targets), transmit=_ROUTES, reflect=_ROUTES),
+    "phase_shift": _op(_element(lambda a: elements.PhaseShift(_selector(a), a["phi"])),
+                       **_SELECTOR, phi=_NUMBER),
+    "qubus_phase": _op(_element(lambda a: elements.QubusPhase(a["beam"], a["phi"])),
+                       beam=_INT, phi=_NUMBER),
+    "qubus_bs": _op(_element(lambda a: elements.QubusBS(*a["beams"])),
+                    beams=_BEAM_PAIR),
+    "xpm": _op(_element(lambda a: elements.Xpm(_selector(a), a["beam"], a["theta"])),
+               **_SELECTOR, beam=_INT),
+    "photon_unitary": _op(_element(lambda a: lambda s: s.apply_photon_unitary(
+        a["photon"], *a["modes"], a["matrix"])),
+        photon=_PHOTON, modes=_MODES, matrix=_MATRIX2),
+    "swap_paths": _op(_element(lambda a: lambda s: s.swap_paths(*a["paths"]),
+                               lambda a: a["paths"]), paths=_PATH_PAIR),
+    # measurements
+    "measure_fock": _op(_readout("n", _fock), beam=_INT, cutoff=_INT.optional()),
+    "qnd": _op(_readout("qnd", _qnd), beam=_INT),
+    # gates
+    "c_path": _op(_gate(lambda s, a, ancilla, **kw: gates.c_path(
+        s, a["control"], a["target"], a["target_paths"], **kw)),
+        **_TWO_QUBIT, target_paths=_PATH_PAIR),
+    "merging": _op(_gate(lambda s, a, ancilla, **kw: gates.merging(
+        s, a["photon"], a["source_paths"], a["dest"], ancilla=ancilla,
+        companion_flip=a["companion_flip"], **kw)),
+        photon=_PHOTON, source_paths=_PATH_PAIR, dest=_INT,
+        companion_flip=_COMPANION_FLIP, ancilla=_ANCILLA),
+    "cnot": _op(_gate(lambda s, a, ancilla, **kw: gates.cnot(
+        s, a["control"], a["target"], ancilla=ancilla, **kw)), **_TWO_QUBIT),
+    "cz": _op(_gate(lambda s, a, ancilla, **kw: gates.cz(
+        s, a["control"], a["target"], ancilla=ancilla, **kw)), **_TWO_QUBIT),
+    "c_phase": _op(_gate(lambda s, a, ancilla, **kw: gates.c_phase(
+        s, a["control"], a["target"], a["phi"], ancilla=ancilla, **kw)),
+        **_TWO_QUBIT, phi=_NUMBER),
+    "controlled_pair": _op(_gate(lambda s, a, ancilla, **kw: gates.controlled_pair(
+        s, a["control"], a["target"], a["u1"], a["u2"], ancilla=ancilla, **kw)),
+        **_TWO_QUBIT, u1=_MATRIX2, u2=_MATRIX2),
+    "two_qubit": _op(_gate(lambda s, a, ancilla, **kw: gates.synth_two_qubit(
+        s, a["control"], a["target"], a["matrix"], ancilla=ancilla, **kw)),
+        **_TWO_QUBIT, matrix=_MATRIX4),
+    "fredkin": _op(_gate(lambda s, a, ancilla, **kw: gates.fredkin(
+        s, a["control"], *a["targets"], ancilla=ancilla, **kw)),
+        control=_PHOTON, targets=_PHOTON_PAIR),
+    "toffoli": _op(_gate(lambda s, a, ancilla, **kw: gates.toffoli(
+        s, *a["controls"], a["target"], ancilla=ancilla, **kw)),
+        controls=_PHOTON_PAIR, target=_PHOTON),
+    "multi_toffoli": _op(_gate(lambda s, a, ancilla, **kw: gates.multi_toffoli(
+        s, a["controls"], a["target"], ancilla=ancilla, **kw)),
+        controls=_PHOTON_LIST, target=_PHOTON),
+}
+
+# the run options; "mode" and "shots" are validated on their own
+RUN_FIELDS = {
+    "mode": _Kind("a run mode", lambda val: True).optional("exact"),
+    "seed": _Kind("a non-negative integer", lambda val: _is_int(val) and val >= 0)
+    .optional(0),
+    "shots": _Kind("a shot count", lambda val: True).optional(1),
+    "alpha": _NUMBER.optional(2.0),
+    "theta": _NUMBER.optional(0.5),
+    "detector": replace(_OBJECT, convert=lambda a: DetectorParams(**a),
+                        fields={"eta": _Kind("a number in [0, 1]",
+                                             lambda val: _is_number(val) and 0 <= val <= 1,
+                                             float),
+                                "gamma": _NUMBER, "theta_p": _NUMBER}).optional(None),
+    "tail": _NUMBER.optional(1e-12),
+    "cutoff": _INT.optional(),
+}
+_PHOTON_FIELDS = {"id": _NAME, "path": _INT,
+                  "state": _Kind("a polarization label or {H, V} amplitudes",
+                                 _is_pol_state).optional("H")}
 
 
 @dataclass(frozen=True)
@@ -118,112 +354,56 @@ class CircuitProgram:
     cutoff: Optional[int] = None
 
 
-def _need(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", where)
-    val = obj[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ParseError(f"field {key!r} must be {kind}", where)
+def _section(doc: dict, key: str, default):
+    """A top-level section, of the type of its default."""
+    val = doc.get(key, default)
+    if not isinstance(val, type(default)):
+        raise ParseError(f"section {key!r} must be a {type(default).__name__}", key)
     return val
 
 
-def _parse_complex(val, where: str) -> complex:
-    if isinstance(val, (int, float)):
-        return complex(val)
-    if (isinstance(val, list) and len(val) == 2
-            and all(isinstance(x, (int, float)) for x in val)):
-        return complex(val[0], val[1])
-    raise ParseError("complex numbers are [re, im] pairs", where)
+def _parse_photons(entries: list) -> list:
+    photons, ids, paths = [], set(), set()
+    for i, ph in enumerate(entries):
+        where = f"photons[{i}]"
+        if not isinstance(ph, dict):
+            raise ParseError("photon entries are objects", where)
+        f = _fields(ph, _PHOTON_FIELDS, where)
+        pid, path, spec = f["id"], f["path"], f["state"]
+        if pid in ids:
+            raise ValidationError(f"duplicate photon id {pid!r}", where)
+        if path in paths:
+            raise ValidationError(f"two photons start on path {path}", where)
+        if isinstance(spec, dict):
+            spec = tuple(_to_complex(spec.get(key, 0)) for key in ("H", "V"))
+            norm = sum(abs(z) * abs(z) for z in spec)
+            if abs(norm - 1.0) > 1e-9:
+                raise ValidationError(
+                    f"photon state not normalized (|amps|^2 = {norm:.6g})", where)
+        ids.add(pid)
+        paths.add(path)
+        photons.append((pid, path, spec))
+    return photons
 
 
-def _parse_pol_state(val, where: str):
-    if isinstance(val, str):
-        return val
-    if isinstance(val, dict):
-        return {"H": _parse_complex(val.get("H", 0), where),
-                "V": _parse_complex(val.get("V", 0), where)}
-    raise ParseError("polarization state must be a label or {H, V} amplitudes", where)
-
-
-def _parse_matrix(val, dim: int, where: str) -> np.ndarray:
-    if not (isinstance(val, list) and len(val) == dim):
-        raise ParseError(f"matrix must be {dim}x{dim}", where)
-    rows = []
-    for i, row in enumerate(val):
-        if not (isinstance(row, list) and len(row) == dim):
-            raise ParseError(f"matrix must be {dim}x{dim}", where)
-        rows.append([_parse_complex(x, f"{where}[{i}]") for x in row])
-    return np.array(rows, dtype=complex)
-
-
-def _is_int_pair(val) -> bool:
-    return (isinstance(val, list) and len(val) == 2
-            and all(isinstance(p, int) for p in val))
-
-
-def _check_optional(obj: dict, kinds: dict, where: str) -> None:
-    """Optional fields, where present, have their JSON types; a "cutoff"
-    is an integer or null."""
-    for key, kind in kinds.items():
-        if key in obj:
-            _need(obj, key, kind, where)
-    if obj.get("cutoff") is not None:
-        _need(obj, "cutoff", int, where)
-
-
-def _check_references(ins: dict, ids: set, where: str) -> None:
-    """Path pairs hold two path numbers, photon references name known
-    photons, and the photon ids of merging's ancilla and companion_flip
-    objects are strings."""
-    for key in _PATH_PAIRS:
-        if key in ins and not _is_int_pair(ins[key]):
-            raise ParseError(f"field {key!r} must be a pair of path numbers", where)
-    refs = [(key, ins[key]) for key in ("photon", "control", "target") if key in ins]
-    for key in ("controls", "targets"):
-        if key in ins:
-            refs += [(key, pid) for pid in _need(ins, key, list, where)]
-    for key, pid in refs:
-        if not isinstance(pid, str):
-            raise ParseError(f"field {key!r} must hold photon ids", where)
+def _check_instruction(ins, ids: set, where: str) -> None:
+    """An instruction's fields have their kinds, and the photons it names
+    are known and distinct."""
+    if not isinstance(ins, dict) or "op" not in ins:
+        raise ParseError("instructions are objects with an 'op' field", where)
+    op = OPS.get(ins["op"]) if isinstance(ins["op"], str) else None
+    if op is None:
+        raise ValidationError(f"unknown op {ins['op']!r}", where)
+    args = _fields(ins, op.fields, where)
+    named = []
+    for key, kind in op.fields.items():
+        if kind.photons:
+            named += [args[key]] if isinstance(args[key], str) else args[key]
+    for i, pid in enumerate(named):
         if pid not in ids:
             raise ValidationError(f"unknown photon {pid!r}", where)
-    for key in ("ancilla", "companion_flip"):
-        sub = ins.get(key, {})
-        if not isinstance(sub, dict):
-            raise ParseError(f"field {key!r} must be an object", where)
-        if not isinstance(sub.get("photon", ""), str):
-            raise ParseError("field 'photon' must be a photon id", f"{where}.{key}")
-
-
-def _check_shapes(ins: dict, where: str) -> None:
-    """The fields the op reads beyond their JSON types: merging's ancilla
-    sign, the selector polarizations of xpm, phase_shift and merging's
-    companion_flip, the PBS route maps, the beam pair of qubus_bs and the
-    two (path, polarization) modes of photon_unitary."""
-    op = ins["op"]
-    if ins.get("ancilla", {}).get("sign", 1) not in (1, -1):
-        raise ParseError("field 'sign' must be 1 or -1", f"{where}.ancilla")
-    if op in ("xpm", "phase_shift", "merging"):
-        sel, at = ((ins["companion_flip"], f"{where}.companion_flip")
-                   if op == "merging" else (ins, where))
-        if sel.get("pol", ANY) not in _SELECTOR_POLS:
-            raise ParseError("field 'pol' must be H, V or ANY", at)
-    if op in ("pbs_hv", "pbs_diag"):
-        for key in ("transmit", "reflect"):
-            if not all(k.removeprefix("-").isdecimal() and isinstance(v, int)
-                       for k, v in ins[key].items()):
-                raise ParseError(
-                    f"field {key!r} must map path numbers to path numbers", where)
-    if op == "qubus_bs" and not _is_int_pair(ins["beams"]):
-        raise ParseError("field 'beams' must be a pair of beam numbers", where)
-    if op == "photon_unitary" and not (
-            len(ins["modes"]) == 2 and all(
-                isinstance(m, list) and len(m) == 2 and isinstance(m[0], int)
-                and m[1] in _POL_LABELS for m in ins["modes"])):
-        raise ParseError(
-            "field 'modes' must hold two [path, polarization] pairs", where)
+        if pid in named[:i]:
+            raise ValidationError(f"photon {pid!r} named twice", where)
 
 
 def parse_circuit(text: str) -> CircuitProgram:
@@ -238,93 +418,32 @@ def parse_circuit(text: str) -> CircuitProgram:
         if section not in doc:
             raise ParseError(f"missing section {section!r}")
 
-    photons = []
-    ids = set()
-    paths = set()
-    for i, ph in enumerate(doc["photons"]):
-        where = f"photons[{i}]"
-        if not isinstance(ph, dict):
-            raise ParseError("photon entries are objects", where)
-        pid = _need(ph, "id", str, where)
-        path = _need(ph, "path", int, where)
-        spec = _parse_pol_state(ph.get("state", "H"), where)
-        if pid in ids:
-            raise ValidationError(f"duplicate photon id {pid!r}", where)
-        if path in paths:
-            raise ValidationError(f"two photons start on path {path}", where)
-        if isinstance(spec, dict):
-            norm = abs(spec["H"]) ** 2 + abs(spec["V"]) ** 2
-            if abs(norm - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"photon state not normalized (|amps|^2 = {norm:.6g})", where)
-            spec_t = (spec["H"], spec["V"])
-        else:
-            spec_t = spec
-        ids.add(pid)
-        paths.add(path)
-        photons.append((pid, path, spec_t))
-
-    beams = tuple(_parse_complex(b, f"beams[{i}]")
-                  for i, b in enumerate(doc.get("beams", [])))
-    extra = tuple(doc.get("paths", []))
-    if not all(isinstance(p, int) for p in extra):
-        raise ParseError("extra paths must be integers", "paths")
-
-    run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise ParseError("run section must be an object", "run")
-    _check_optional(run, RUN_FIELDS, "run")
-    mode = run.get("mode", "exact")
-    if mode not in ("exact", "sample"):
-        raise ValidationError(f"unknown run mode {mode!r}", "run.mode")
-    det = None
-    if run.get("detector") is not None:
-        dd = run["detector"]
-        det = DetectorParams(eta=float(_need(dd, "eta", (int, float), "run.detector")),
-                             gamma=float(_need(dd, "gamma", (int, float), "run.detector")),
-                             theta_p=float(_need(dd, "theta_p", (int, float), "run.detector")))
-
-    known_paths = set(paths) | set(extra)
-    instructions = []
-    for k, ins in enumerate(doc["circuit"]):
-        where = f"circuit[{k}]"
-        if not isinstance(ins, dict) or "op" not in ins:
-            raise ParseError("instructions are objects with an 'op' field", where)
-        op = ins["op"]
-        if op not in INSTRUCTIONS:
-            raise ValidationError(f"unknown op {op!r}", where)
-        for key, kind in REQUIRED_FIELDS[op].items():
-            _need(ins, key, kind, where)
-        if op == "merging":
-            _need(ins["companion_flip"], "path", int, f"{where}.companion_flip")
-        _check_optional(ins, OPTIONAL_FIELDS, where)
-        _check_references(ins, ids, where)
-        _check_shapes(ins, where)
-        # matrices are validated eagerly so malformed programs fail at parse
-        if op == "photon_unitary":
-            _parse_matrix(_need(ins, "matrix", list, where), 2, where)
-        if op == "controlled_pair":
-            _parse_matrix(_need(ins, "u1", list, where), 2, where)
-            _parse_matrix(_need(ins, "u2", list, where), 2, where)
-        if op == "two_qubit":
-            _parse_matrix(_need(ins, "matrix", list, where), 4, where)
-        instructions.append(dict(ins))
-        for key in _PATH_PAIRS:
-            if key in ins:
-                known_paths |= set(ins[key])
-
-    shots = run.get("shots", 1)
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+    photons = _parse_photons(_section(doc, "photons", []))
+    beams = tuple(_COMPLEX.parse(b, "beams", f"beams[{i}]")
+                  for i, b in enumerate(_section(doc, "beams", [])))
+    extra = tuple(_INT.parse(p, "paths", f"paths[{i}]")
+                  for i, p in enumerate(_section(doc, "paths", [])))
+    run = _fields(_section(doc, "run", {}), RUN_FIELDS, "run")
+    if run["mode"] not in ("exact", "sample"):
+        raise ValidationError(f"unknown run mode {run['mode']!r}", "run.mode")
+    shots = run["shots"]
+    if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be an integer >= 1, got {shots!r}",
                               "run.shots")
-    cutoff = run.get("cutoff")
+
+    ids = {pid for pid, _, _ in photons}
+    circuit = _section(doc, "circuit", [])
+    for k, ins in enumerate(circuit):
+        _check_instruction(ins, ids, f"circuit[{k}]")
     return CircuitProgram(
         photons=tuple(photons), beams=beams, extra_paths=extra,
-        instructions=tuple(instructions), mode=mode,
-        seed=int(run.get("seed", 0)), shots=shots,
-        alpha=float(run.get("alpha", 2.0)), theta=float(run.get("theta", 0.5)),
-        detector=det, tail=float(run.get("tail", 1e-12)),
-        cutoff=None if cutoff is None else int(cutoff))
+        instructions=tuple(dict(ins) for ins in circuit), **run)
+
+
+def override_run(program: CircuitProgram, **options) -> CircuitProgram:
+    """`program` with the given run options, each checked by its kind."""
+    fields = {key: RUN_FIELDS[key] for key in options}
+    return replace(program, **_fields(options, fields, "command line"))
 
 
 def _fmt_complex(z: complex) -> list[float]:
@@ -345,10 +464,7 @@ def serialize_program(program: CircuitProgram) -> str:
         "run": {
             "mode": program.mode, "seed": program.seed, "shots": program.shots,
             "alpha": program.alpha, "theta": program.theta,
-            "detector": (None if program.detector is None else
-                         {"eta": program.detector.eta,
-                          "gamma": program.detector.gamma,
-                          "theta_p": program.detector.theta_p}),
+            "detector": program.detector and asdict(program.detector),
             "tail": program.tail,
             "cutoff": program.cutoff,
         },
@@ -362,11 +478,6 @@ def initial_state(program: CircuitProgram) -> HybridState:
         beams=program.beams, extra_paths=program.extra_paths)
 
 
-def _selector_from(ins: dict, where: str) -> ModeSelector:
-    return ModeSelector(path=int(ins["path"]), pol=ins.get("pol", ANY),
-                        photon=ins.get("photon"))
-
-
 def _tag_labels(records: Sequence[Record], k: int, start: int) -> list[Record]:
     out = []
     for rec in records:
@@ -378,161 +489,16 @@ def _tag_labels(records: Sequence[Record], k: int, start: int) -> list[Record]:
 
 def apply_program_instruction(records: list[Record], ins: dict, k: int,
                               program: CircuitProgram, mode, trace) -> list[Record]:
-    op = ins["op"]
-    alpha = float(ins.get("alpha", program.alpha))
-    theta = float(ins.get("theta", program.theta))
-    where = f"circuit[{k}] ({op})"
-
-    def elementwise(fn):
-        return [replace(r, state=fn(r.state)) for r in records]
-
+    op = OPS[ins["op"]]
+    where = f"circuit[{k}] ({ins['op']})"
+    args = _fields(ins, op.fields, where)
+    for key in ("alpha", "theta"):
+        if args[key] is None:
+            args[key] = getattr(program, key)
     try:
-        if op == "photon_bs":
-            a, b = ins["paths"]
-            return elementwise(lambda s: photon_bs(s, a, b))
-        if op == "pbs_hv":
-            t = {int(kk): v for kk, v in ins["transmit"].items()}
-            r = {int(kk): v for kk, v in ins["reflect"].items()}
-            return elementwise(lambda s: pbs_hv(s.add_paths(set(t.values()) | set(r.values())), t, r))
-        if op == "pbs_diag":
-            t = {int(kk): v for kk, v in ins["transmit"].items()}
-            r = {int(kk): v for kk, v in ins["reflect"].items()}
-            return elementwise(lambda s: pbs_diag(s.add_paths(set(t.values()) | set(r.values())), t, r))
-        if op == "phase_shift":
-            sel = _selector_from(ins, where)
-            return elementwise(lambda s: phase_shift(s, sel, float(ins["phi"])))
-        if op == "qubus_phase":
-            return elementwise(lambda s: qubus_phase(s, int(ins["beam"]),
-                                                     float(ins["phi"])))
-        if op == "qubus_bs":
-            i, j = ins["beams"]
-            return elementwise(lambda s: qubus_bs(s, i, j))
-        if op == "xpm":
-            sel = _selector_from(ins, where)
-            return elementwise(lambda s: xpm(s, sel, int(ins["beam"]), theta))
-        if op == "photon_unitary":
-            m = _parse_matrix(ins["matrix"], 2, where)
-            (pa, la), (pb, lb) = ins["modes"]
-            return elementwise(lambda s: s.apply_photon_unitary(
-                ins["photon"], (int(pa), la), (int(pb), lb), m))
-        if op == "swap_paths":
-            a, b = ins["paths"]
-            return elementwise(lambda s: s.add_paths({a, b}).swap_paths(a, b))
-
-        if op == "measure_fock":
-            beam = int(ins["beam"])
-            cutoff = ins.get("cutoff", program.cutoff)
-            out = []
-            for rec in records:
-                if isinstance(mode, SampleMode):
-                    n, post = sample_fock(rec.state, beam, mode.rng,
-                                          tail=program.tail, cutoff=cutoff)
-                    subs = [(n, 1.0, post)]
-                else:
-                    subs = enumerate_fock_outcomes(
-                        rec.state, beam, tail=program.tail, cutoff=cutoff)
-                for n, p, post in subs:
-                    out.append(replace(rec, labels=rec.labels + ((f"{k}.n", n),),
-                                       probability=rec.probability * p,
-                                       state=post))
-            return out
-        if op == "qnd":
-            if program.detector is None:
-                raise ValidationError("qnd instruction needs run.detector", where)
-            beam = int(ins["beam"])
-            out = []
-            for rec in records:
-                if isinstance(mode, SampleMode):
-                    pairs = [qnd_detect(rec.state, beam, program.detector,
-                                        mode="sample", rng=mode.rng,
-                                        tail=program.tail)]
-                    pairs = [(oc, st, 1.0) for oc, st in pairs]
-                else:
-                    pairs = [(oc, st, oc.probability) for oc, st in
-                             qnd_detect(rec.state, beam, program.detector,
-                                        tail=program.tail) if st is not None]
-                for oc, st, p in pairs:
-                    label = (f"{k}.qnd",
-                             oc.tag if oc.k is None else f"{oc.tag}:{oc.k}")
-                    out.append(replace(rec, labels=rec.labels + (label,),
-                                       probability=rec.probability * p,
-                                       state=st))
-            return out
-
-        # gates: thread through records, tag new labels with the
-        # instruction index, coalesce afterwards
-        def gate_stage(fn):
-            start = len(records[0].labels) if records else 0
-            subs = chain(records, fn)
-            return coalesce(_tag_labels(subs, k, start))
-
-        gmode = mode
-        if op == "c_path":
-            p1, p2 = ins["target_paths"]
-            return gate_stage(lambda rec: c_path(
-                rec.state, ins["control"], ins["target"], (p1, p2),
-                alpha, theta, mode=gmode, trace=trace))
-        if op == "merging":
-            p1, p2 = ins["source_paths"]
-            anc = ins.get("ancilla", {})
-            spec = FreshAncilla(anc.get("photon", "ancilla"),
-                                int(anc.get("sign", 1)))
-            cf = ins["companion_flip"]
-            flip = ModeSelector(path=int(cf["path"]), pol=cf.get("pol", "V"),
-                                photon=cf.get("photon"))
-            return gate_stage(lambda rec: merging(
-                rec.state, ins["photon"], (p1, p2), int(ins["dest"]),
-                alpha, theta,
-                ancilla=(ParkedAncilla(*rec.ancilla) if rec.ancilla else spec),
-                companion_flip=flip, mode=gmode, trace=trace))
-        if op == "cnot":
-            return gate_stage(lambda rec: cnot(
-                rec.state, ins["control"], ins["target"], alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "cz":
-            return gate_stage(lambda rec: cz(
-                rec.state, ins["control"], ins["target"], alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "c_phase":
-            return gate_stage(lambda rec: c_phase(
-                rec.state, ins["control"], ins["target"], float(ins["phi"]),
-                alpha, theta, mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "controlled_pair":
-            u1 = _parse_matrix(ins["u1"], 2, where)
-            u2 = _parse_matrix(ins["u2"], 2, where)
-            return gate_stage(lambda rec: controlled_pair(
-                rec.state, ins["control"], ins["target"], u1, u2, alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "two_qubit":
-            u = _parse_matrix(ins["matrix"], 4, where)
-            return gate_stage(lambda rec: synth_two_qubit(
-                rec.state, ins["control"], ins["target"], u, alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "fredkin":
-            t1, t2 = ins["targets"]
-            return gate_stage(lambda rec: fredkin(
-                rec.state, ins["control"], t1, t2, alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "toffoli":
-            c1, c2 = ins["controls"]
-            return gate_stage(lambda rec: toffoli(
-                rec.state, c1, c2, ins["target"], alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
-        if op == "multi_toffoli":
-            return gate_stage(lambda rec: multi_toffoli(
-                rec.state, list(ins["controls"]), ins["target"], alpha, theta,
-                mode=gmode, trace=trace,
-                ancilla=ParkedAncilla(*rec.ancilla) if rec.ancilla else None))
+        return op.run(records, args, _Step(k, program, mode, trace))
     except SimulatorError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
-    raise ValidationError(f"unknown op {op!r}", where)
 
 
 def _record_report(rec: Record) -> dict:
@@ -561,11 +527,11 @@ def _record_report(rec: Record) -> dict:
 
 def run_program(program: CircuitProgram) -> dict:
     """Execute a program and return its (deterministic) report dict."""
-    trace = ResourceTrace()
+    trace = gates.ResourceTrace()
     checks = {"norms_ok": True, "probability_sum": None}
 
     def execute(mode) -> list[Record]:
-        records = initial_records(initial_state(program))
+        records = gates.initial_records(initial_state(program))
         for k, ins in enumerate(program.instructions):
             records = apply_program_instruction(records, ins, k, program,
                                                 mode, trace)
@@ -573,7 +539,7 @@ def run_program(program: CircuitProgram) -> dict:
 
     report = {"mode": program.mode}
     if program.mode == "exact":
-        records = execute(ExactMode(tail=program.tail))
+        records = execute(gates.ExactMode(tail=program.tail))
         total = float(sum(r.probability for r in records))
         checks["probability_sum"] = float(f"{total:.12g}")
         recs = [_record_report(r) for r in records]
@@ -584,9 +550,9 @@ def run_program(program: CircuitProgram) -> dict:
         rng = np.random.default_rng(program.seed)
         shots = []
         for shot in range(program.shots):
-            records = execute(SampleMode(rng=rng, tail=program.tail))
+            records = execute(gates.SampleMode(rng=rng, tail=program.tail))
             if len(records) != 1:
-                records = coalesce(records)
+                records = gates.coalesce(records)
             rep = _record_report(records[0])
             rep["shot"] = shot
             shots.append(rep)
@@ -595,15 +561,8 @@ def run_program(program: CircuitProgram) -> dict:
         report["seed"] = program.seed
         report["shots"] = shots
     resources = trace.report()
-    report["resources"] = {
-        "c_path_count": resources.c_path_count,
-        "merging_count": resources.merging_count,
-        "ancilla_photons_concurrent": resources.ancilla_photons_concurrent,
-        "xpm_coupling_count": resources.xpm_coupling_count,
-        "qubus_uses": resources.qubus_uses,
-        "cumulative_qubus_attenuation":
-            float(f"{resources.cumulative_qubus_attenuation:.12g}"),
-    }
+    report["resources"] = {**asdict(resources), "cumulative_qubus_attenuation":
+                           float(f"{resources.cumulative_qubus_attenuation:.12g}")}
     report["checks"] = checks
     report["ok"] = bool(checks["norms_ok"] and checks["probability_ok"])
     return report

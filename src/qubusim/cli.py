@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+from dataclasses import asdict
 import io
 import math
 import sys
@@ -64,29 +65,13 @@ def gate_catalog(alpha: float, theta: float):
 
 
 def _cmd_run(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            program = circuits.parse_circuit(fh.read())
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.tail is not None:
-        overrides["tail"] = args.tail
-    if args.cutoff is not None:
-        overrides["cutoff"] = args.cutoff
-    if overrides:
-        from dataclasses import replace
-        program = replace(program, **overrides)
+    overrides = {key: getattr(args, key)
+                 for key in ("mode", "seed", "shots", "tail", "cutoff")
+                 if getattr(args, key) is not None}
+    # a parse or validation error exits 2 or 3 from `main`
+    with open(args.file, "r", encoding="utf-8") as fh:
+        program = circuits.override_run(circuits.parse_circuit(fh.read()),
+                                        **overrides)
     try:
         report = circuits.run_program(program)
     except ValidationError as exc:
@@ -214,14 +199,9 @@ def _cmd_resources(args) -> int:
     else:
         print(f"unknown gate {args.gate!r}", file=sys.stderr)
         return 3
-    rep = trace.report()
     print(f"resources for {args.gate} (alpha={alpha}, theta={theta}):")
-    print(f"  c_path_count                 {rep.c_path_count}")
-    print(f"  merging_count                {rep.merging_count}")
-    print(f"  ancilla_photons_concurrent   {rep.ancilla_photons_concurrent}")
-    print(f"  xpm_coupling_count           {rep.xpm_coupling_count}")
-    print(f"  qubus_uses                   {rep.qubus_uses}")
-    print(f"  cumulative_qubus_attenuation {rep.cumulative_qubus_attenuation:.9g}")
+    for key, val in asdict(trace.report()).items():
+        print(f"  {key:<28} {val:.9g}")
     return 0
 
 

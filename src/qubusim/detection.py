@@ -95,14 +95,6 @@ class PovmOutcome:
     k: Optional[int]            # peak index for PEAK outcomes
     probability: float
 
-    @property
-    def inferred_n(self) -> Optional[int]:
-        if self.tag == VACUUM:
-            return 0
-        if self.tag == PEAK:
-            return self.k
-        return None
-
 
 # -- Poisson utilities --------------------------------------------------------
 
@@ -154,8 +146,18 @@ def _fock_collapse(state: HybridState, beam: int, n: int,
     return post, prob
 
 
+# the largest mean photon number of a beam that a readout enumerates
+_MAX_MEAN = 1e6
+
+
 def _beam_means(state: HybridState, beam: int) -> set[float]:
-    return {abs(br.qubus[beam]) ** 2 for br in state.branches}
+    """The mean photon numbers of one beam over the branches; a beam above
+    `_MAX_MEAN` photons, or not finite, raises PreconditionViolation."""
+    amps = {abs(br.qubus[beam]) for br in state.branches}
+    if not all(a * a <= _MAX_MEAN for a in amps):
+        raise PreconditionViolation(
+            f"beam {beam} holds more than {_MAX_MEAN:g} photons on average")
+    return {a ** 2 for a in amps}
 
 
 def _beam_cutoff(means, tail: float) -> int:

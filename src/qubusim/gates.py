@@ -37,11 +37,11 @@ other amplitudes is read per n, or per peak, as before.
 
 Every merging parks the measured photon on one of four localization paths
 as the recycled ancilla, in |+⟩ or |−⟩, and the next merging first swaps it
-onto its seat.  In exact mode the composites make that swap before each
-later stage (before the controlled path, in `controlled_pair`), turn a |−⟩
-ancilla into |+⟩ by a recorded π phase on its V mode, and coalesce, so the
-records of one merging run the next stage once (`_fold_onto_seat`).
-`QndMode` and `SampleMode` record lists are not folded.
+onto its seat.  In exact and `QndMode` readout the composites make that
+swap before each later stage (before the controlled path, in
+`controlled_pair`), turn a |−⟩ ancilla into |+⟩ by a recorded π phase on
+its V mode, and coalesce, so the records of one merging run the next stage
+once (`_fold_onto_seat`).  `SampleMode` record lists are not folded.
 
 Inside a composite, `merging` also coalesces the entangler's class records
 once their feed-forward is applied (`_merge_classes`), before the photon is
@@ -55,6 +55,11 @@ controlled-path readout, a no-click or ambiguous localization) is a
 heralded failure: `chain` and `map_records` pass such a record on unchanged,
 and no later stage of the gate runs on it.
 
+A composite logs its resources from its description, once per stage and
+before the stage runs on its records: one controlled-path or merging gate
+per stage, and one fresh ancilla photon for the first merging that has no
+parked one to reuse.
+
 `SampleMode` draws n from the bus's photon-number distribution, computed as
 one array, and collapses the bus only at the drawn n (`sample_fock`), so a
 sampled shot builds one post-state per measured bus for any bus.
@@ -63,6 +68,7 @@ sampled shot builds one post-state per measured bus for any bus.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -247,33 +253,6 @@ def resource_report(trace: ResourceTrace) -> ResourceReport:
     return trace.report()
 
 
-class _NullTrace(ResourceTrace):
-    """Sink for re-enumerations of a gate that was already counted."""
-
-    def log_elementary(self, kind, theta, couplings):
-        pass
-
-    def log_ancilla_new(self):
-        pass
-
-
-_NULL_TRACE = _NullTrace()
-
-
-def _stage_traces(trace: ResourceTrace) -> Callable[[], ResourceTrace]:
-    """One physical gate in a chain is re-run once per upstream record; only
-    the first run may log resources."""
-    box = {"first": True}
-
-    def next_trace() -> ResourceTrace:
-        if box["first"]:
-            box["first"] = False
-            return trace
-        return _NULL_TRACE
-
-    return next_trace
-
-
 # -- outcome records ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -297,18 +276,6 @@ class GateResult:
     @property
     def total_probability(self) -> float:
         return sum(r.probability for r in self.outcomes)
-
-    @property
-    def recycled_qubus(self) -> Optional[complex]:
-        amps = [r.recycled_qubus for r in self.outcomes if r.recycled_qubus is not None]
-        if not amps:
-            return None
-        return min(amps, key=abs)
-
-    @property
-    def recycled_ancilla(self) -> Optional[int]:
-        paths = {r.ancilla[1] for r in self.outcomes if r.ancilla is not None}
-        return next(iter(paths)) if len(paths) == 1 else None
 
 
 def initial_records(state: HybridState) -> list[Record]:
@@ -423,8 +390,7 @@ def _detach_if_uniform(state: HybridState, beam: int):
 
 def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
                  v_modes: Sequence[ModeSelector], h_modes: Sequence[ModeSelector],
-                 alpha: float, theta: float, mode: MeasureMode,
-                 trace: ResourceTrace) -> list[Record]:
+                 alpha: float, theta: float, mode: MeasureMode) -> list[Record]:
     """Shared pipeline of the standard and multi-control controlled-path gate.
 
     The first qubus beam couples to the target on `path_h` and to the
@@ -445,7 +411,6 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
     s = qubus_phase(s, b1, -theta)
     s = qubus_phase(s, b2, -theta)
     s = qubus_bs(s, b1, b2)
-    trace.log_elementary("c_path", theta, couplings=4)
 
     records = []
     for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
@@ -488,11 +453,12 @@ def c_path(state: HybridState, control: str, target: str,
         raise PreconditionViolation("target photon must enter on the first target path")
     if state.occupants(p2):
         raise PreconditionViolation("second target path must be empty")
+    trace.log_elementary("c_path", theta, couplings=4)
     records = _c_path_core(
         state, target, p1, p2,
         v_modes=[ModeSelector(cpath, "V", control)],
         h_modes=[ModeSelector(cpath, "H", control)],
-        alpha=alpha, theta=theta, mode=mode, trace=trace)
+        alpha=alpha, theta=theta, mode=mode)
     return GateResult(tuple(records), trace.report())
 
 
@@ -745,20 +711,22 @@ def _fold_onto_seat(records: list[Record], seat: int,
     ancilla and in the ancilla's sign.  The next merging first swaps a
     parked ancilla onto its seat; that swap is made here, and `_fold_sign`
     turns a |−⟩ ancilla into |+⟩.  The records then coalesce, so every
-    later stage runs once for them.  Exact composites only; a list with
-    fewer than two parked ancillas is returned as it is.
+    later stage runs once for them.  Heralded failures are neither moved nor
+    merged; they follow the merged records.  Composites in both class modes
+    only; a list with fewer than two parked ancillas is returned as it is.
     """
-    if (not isinstance(mode, _ClassMode)
-            or sum(rec.ancilla is not None for rec in records) < 2):
+    live = [rec for rec in records if not _heralded_failure(rec)]
+    if (not isinstance(mode, (_ClassMode, _QndClassMode))
+            or sum(rec.ancilla is not None for rec in live) < 2):
         return records
     moved = []
-    for rec in records:
+    for rec in live:
         if rec.ancilla is not None:
             photon, path, sign = rec.ancilla
             rec = _fold_sign(replace(rec, state=rec.state.swap_paths(path, seat),
                                      ancilla=(photon, seat, sign)))
         moved.append(rec)
-    return coalesce(moved)
+    return coalesce(moved) + [rec for rec in records if _heralded_failure(rec)]
 
 
 def _fold_sign(rec: Record) -> Record:
@@ -778,21 +746,28 @@ def _fold_sign(rec: Record) -> Record:
                    ancilla=(photon, path, 1))
 
 
-def _merge_stage(photon: str, pair: tuple[int, int], seat: int, home: int,
-                 flip: ModeSelector, alpha: float, theta: float,
-                 mode: MeasureMode, trace: ResourceTrace,
-                 ancilla: Optional[AncillaSpec]):
-    """Chain stage: merge `photon` from `pair` onto `seat`, then move the
-    merged photon back to `home`."""
-    get_trace = _stage_traces(trace)
+def _merge_records(records: list[Record], photon: str, pair: tuple[int, int],
+                   seat: int, home: int, flip: ModeSelector, alpha: float,
+                   theta: float, mode: MeasureMode, trace: ResourceTrace,
+                   ancilla: Optional[AncillaSpec]) -> list[Record]:
+    """Merge `photon` from `pair` onto `seat` in every record, move the
+    merged photon back to `home` and coalesce.
+
+    The stage is logged once: one merging gate, and a fresh ancilla photon
+    when the first record to run it has none parked.
+    """
+    trace.log_elementary("merging", theta, couplings=4)
+    first = next((rec for rec in records if not _heralded_failure(rec)), None)
+    if first is not None and isinstance(_ancilla_for(first, ancilla), FreshAncilla):
+        trace.log_ancilla_new()
 
     def stage(rec: Record) -> list[Record]:
         res = merging(rec.state, photon, pair, seat, alpha, theta,
                       ancilla=_ancilla_for(rec, ancilla), companion_flip=flip,
-                      mode=mode, trace=get_trace())
+                      mode=mode)
         return [replace(r, state=r.state.swap_paths(seat, home))
                 for r in res.outcomes]
-    return stage
+    return coalesce(chain(records, stage))
 
 
 def _controlled_pair_records(records: list[Record], control: str, target: str,
@@ -812,19 +787,18 @@ def _controlled_pair_records(records: list[Record], control: str, target: str,
     # parked ancillas move to the seat before the c_path, which leaves it alone
     recs = _fold_onto_seat(recs, seat, mode)
 
-    get_trace = _stage_traces(trace)
+    trace.log_elementary("c_path", theta, couplings=4)
     recs = coalesce(chain(recs, lambda rec: c_path(
-        rec.state, control, target, (t_home, aux), alpha, theta,
-        mode=mode, trace=get_trace())))
+        rec.state, control, target, (t_home, aux), alpha, theta, mode=mode)))
     if not np.allclose(u1, PAULI_I):
         recs = map_records(recs, lambda s: s.apply_photon_unitary(
             target, (t_home, "H"), (t_home, "V"), u1))
     if not np.allclose(u2, PAULI_I):
         recs = map_records(recs, lambda s: s.apply_photon_unitary(
             target, (aux, "H"), (aux, "V"), u2))
-    return coalesce(chain(recs, _merge_stage(
-        target, (t_home, aux), seat, t_home, ModeSelector(c_home, "V", control),
-        alpha, theta, mode, trace, ancilla)))
+    return _merge_records(recs, target, (t_home, aux), seat, t_home,
+                          ModeSelector(c_home, "V", control), alpha, theta,
+                          mode, trace, ancilla)
 
 
 def controlled_pair(state: HybridState, control: str, target: str,
@@ -866,9 +840,7 @@ def c_phase(state: HybridState, control: str, target: str, phi: float,
 
 # -- arbitrary U(4) synthesis ---------------------------------------------------
 
-_MAGIC_DECOMP = None
-
-
+@functools.cache
 def _magic_as_gates():
     """Magic basis change as locals plus one controlled phase pair.
 
@@ -876,20 +848,17 @@ def _magic_as_gates():
     Hadamards turn into the controlled diagonal diag(e^{iπ/4}, e^{−iπ/4})
     pair, so it costs exactly one elementary gate pair.
     """
-    global _MAGIC_DECOMP
-    if _MAGIC_DECOMP is None:
-        params = kak_decompose(MAGIC)
-        if not (math.isclose(params.ax, math.pi / 4, abs_tol=1e-9)
-                and abs(params.ay) < 1e-9 and abs(params.az) < 1e-9):
-            raise PreconditionViolation("magic transformation has unexpected class")
-        # N(π/4,0,0) = exp(iπ/4 σx⊗σx) = (Hd⊗Hd)·exp(iπ/4 σz⊗σz)·(Hd⊗Hd)
-        phase = cmath.exp(1j * math.pi / 4)
-        u1 = np.diag([phase, phase.conjugate()])
-        u2 = np.diag([phase.conjugate(), phase])
-        left = (params.a1 @ HADAMARD, params.a2 @ HADAMARD)
-        right = (HADAMARD @ params.a3, HADAMARD @ params.a4)
-        _MAGIC_DECOMP = (left, (u1, u2), right)
-    return _MAGIC_DECOMP
+    params = kak_decompose(MAGIC)
+    if not (math.isclose(params.ax, math.pi / 4, abs_tol=1e-9)
+            and abs(params.ay) < 1e-9 and abs(params.az) < 1e-9):
+        raise PreconditionViolation("magic transformation has unexpected class")
+    # N(π/4,0,0) = exp(iπ/4 σx⊗σx) = (Hd⊗Hd)·exp(iπ/4 σz⊗σz)·(Hd⊗Hd)
+    phase = cmath.exp(1j * math.pi / 4)
+    u1 = np.diag([phase, phase.conjugate()])
+    u2 = np.diag([phase.conjugate(), phase])
+    left = (params.a1 @ HADAMARD, params.a2 @ HADAMARD)
+    right = (HADAMARD @ params.a3, HADAMARD @ params.a4)
+    return left, (u1, u2), right
 
 
 def synth_two_qubit(state: HybridState, control: str, target: str,
@@ -971,25 +940,18 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
     flip = ModeSelector(c_home, "V", control)
 
     recs = initial_records(state)
-    trace1 = _stage_traces(trace)
-    recs = chain(recs, lambda rec: c_path(rec.state, control, target1,
-                                          (h1, o1), alpha, theta,
-                                          mode=mode, trace=trace1()))
-    recs = coalesce(recs)
-    trace2 = _stage_traces(trace)
-    recs = chain(recs, lambda rec: c_path(rec.state, control, target2,
-                                          (h2, o2), alpha, theta,
-                                          mode=mode, trace=trace2()))
-    recs = coalesce(recs)
+    for photon, pair in ((target1, (h1, o1)), (target2, (h2, o2))):
+        trace.log_elementary("c_path", theta, couplings=4)
+        recs = coalesce(chain(recs, lambda rec, photon=photon, pair=pair: c_path(
+            rec.state, control, photon, pair, alpha, theta, mode=mode)))
     recs = map_records(recs, lambda s: s.swap_paths(o1, o2))
     recs = map_records(recs, lambda s: _relabel_if_on_path(s, target1, target2, o2))
 
     for photon, pair, seat, home in ((target1, (h1, o1), seat1, h1),
                                      (target2, (h2, o2), seat2, h2)):
-        recs = _fold_onto_seat(recs, seat, mode)
-        recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
-                                        alpha, theta, mode, trace, ancilla))
-        recs = coalesce(recs)
+        recs = _merge_records(_fold_onto_seat(recs, seat, mode), photon, pair,
+                              seat, home, flip, alpha, theta, mode, trace,
+                              ancilla)
     return GateResult(tuple(recs), trace.report())
 
 
@@ -1024,17 +986,10 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
     for j, (photon, home) in enumerate(zip(stage_targets, stage_homes)):
         v_modes = [ModeSelector(flags[j], "V")]
         h_modes = [ModeSelector(f, "H") for f in flags[:j + 1]]
-        get_trace = _stage_traces(trace)
-
-        def stage(rec: Record, photon=photon, home=home, j=j,
-                  v_modes=v_modes, h_modes=h_modes,
-                  get_trace=get_trace) -> list[Record]:
-            return _c_path_core(rec.state, photon, home, odd[j],
-                                v_modes, h_modes, alpha, theta, mode,
-                                get_trace())
-
-        recs = chain(recs, stage)
-        recs = coalesce(recs)
+        args = (photon, home, odd[j], v_modes, h_modes, alpha, theta, mode)
+        trace.log_elementary("c_path", theta, couplings=4)
+        recs = coalesce(chain(recs, lambda rec, args=args: _c_path_core(
+            rec.state, *args)))
 
     recs = map_records(recs, lambda s: s.apply_photon_unitary(
         target, (odd[k - 1], "H"), (odd[k - 1], "V"), PAULI_X))
@@ -1046,10 +1001,9 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
                             seats[j], stage_homes[j],
                             ModeSelector(flags[j], "V")))
     for photon, pair, seat, home, flip in merge_specs:
-        recs = _fold_onto_seat(recs, seat, mode)
-        recs = chain(recs, _merge_stage(photon, pair, seat, home, flip,
-                                        alpha, theta, mode, trace, ancilla))
-        recs = coalesce(recs)
+        recs = _merge_records(_fold_onto_seat(recs, seat, mode), photon, pair,
+                              seat, home, flip, alpha, theta, mode, trace,
+                              ancilla)
     return GateResult(tuple(recs), trace.report())
 
 

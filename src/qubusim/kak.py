@@ -104,13 +104,6 @@ def controlled_diag_pair(ax: float, ay: float, az: float) -> tuple[np.ndarray, n
     return np.diag(d[:2]), np.diag(d[2:])
 
 
-def residual_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a·e^{iφ} − b| minimized over the global phase φ."""
-    tr = np.trace(a.conj().T @ b)
-    phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-    return float(np.abs(a * phase - b).max())
-
-
 def kron_split(l4: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Factor a 4×4 kron product into its 2×2 factors (scalar split fixed by
     making the first factor unitary)."""

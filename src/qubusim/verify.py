@@ -26,14 +26,6 @@ def qubit_modes(qubits: Sequence[tuple[str, int]]):
     return [(photon, ((home, "H"), (home, "V"))) for photon, home in qubits]
 
 
-def basis_input(qubits: Sequence[tuple[str, int]], index: int,
-                extra_paths: Sequence[int] = ()) -> HybridState:
-    dim = 2 ** len(qubits)
-    vec = np.zeros(dim, dtype=complex)
-    vec[index] = 1.0
-    return state_from_amplitudes(qubit_modes(qubits), vec, paths=extra_paths)
-
-
 def spectator_from_ancilla(ancilla) -> list:
     """Parked-ancilla spectator triple for amplitude extraction."""
     if ancilla is None:

@@ -1,6 +1,8 @@
 """Circuit documents and the command-line front end."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +99,10 @@ class TestParsing:
         ({"op": "photon_unitary", "photon": "C", "modes": [[0]],
           "matrix": [[1, 0], [0, 1]]}, "modes", "circuit[0]"),
         ({"op": "measure_fock", "beam": 0, "cutoff": "x"}, "cutoff", "circuit[0]"),
+        ({"op": "toffoli", "controls": ["C", "T", "C"], "target": "T"}, "controls",
+         "circuit[0]"),
+        ({"op": "fredkin", "control": "C", "targets": ["T"]}, "targets",
+         "circuit[0]"),
     ])
     def test_malformed_references_are_parse_errors(self, tmp_path, ins, field,
                                                    location):
@@ -112,7 +118,9 @@ class TestParsing:
     @pytest.mark.parametrize("run,field", [
         ({"seed": "x"}, "seed"), ({"alpha": "x"}, "alpha"),
         ({"theta": None}, "theta"), ({"tail": [1]}, "tail"),
-        ({"cutoff": "3"}, "cutoff"),
+        ({"cutoff": "3"}, "cutoff"), ({"detector": [0.9, 200, 0.1]}, "detector"),
+        ({"alpha": float("nan")}, "alpha"), ({"theta": float("inf")}, "theta"),
+        ({"mode": "sample", "seed": -1}, "seed"),
     ])
     def test_malformed_run_options_are_parse_errors(self, tmp_path, run, field):
         doc = json.loads(CNOT_DOC)
@@ -123,6 +131,43 @@ class TestParsing:
         src = tmp_path / "bad.json"
         src.write_text(json.dumps(doc))
         assert main(["run", str(src)]) == 2
+
+    @pytest.mark.parametrize("section", ["photons", "beams", "paths", "circuit"])
+    def test_sections_that_are_not_lists_are_parse_errors(self, tmp_path, section):
+        doc = json.loads(CNOT_DOC)
+        doc[section] = {"0": doc.get(section)}
+        with pytest.raises(ParseError, match=f"'{section}'") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == section
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 2
+
+    def test_negative_seed_override_is_a_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "cnot.json"
+        src.write_text(CNOT_DOC)
+        assert main(["run", str(src), "--mode", "sample", "--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ins", [
+        {"op": "cnot", "control": "C", "target": "C"},
+        {"op": "c_path", "control": "T", "target": "T", "target_paths": [1, 2]},
+        {"op": "toffoli", "controls": ["C", "C"], "target": "T"},
+        {"op": "toffoli", "controls": ["C", "T"], "target": "T"},
+        {"op": "multi_toffoli", "controls": ["C", "T", "C"], "target": "U"},
+        {"op": "fredkin", "control": "C", "targets": ["T", "T"]},
+        {"op": "fredkin", "control": "T", "targets": ["U", "T"]},
+    ])
+    def test_photon_named_twice_is_a_validation_error(self, tmp_path, ins):
+        doc = json.loads(CNOT_DOC)
+        doc["photons"].append({"id": "U", "path": 2, "state": "H"})
+        doc["circuit"] = [{"op": "cz", "control": "C", "target": "T"}, ins]
+        with pytest.raises(ValidationError, match="named twice") as exc:
+            parse_circuit(json.dumps(doc))
+        assert exc.value.location == "circuit[1]"
+        src = tmp_path / "twice.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 3
 
     @pytest.mark.parametrize("ins,location", [
         ({"op": "xpm", "path": 0, "pol": "X", "beam": 0, "theta": 0.3},
@@ -236,6 +281,20 @@ class TestRunProgram:
         golden = (REPO / "tests" / "golden" / f"{name}.json").read_text()
         assert report_to_json(run_program(parse_circuit(text))) + "\n" == golden
 
+    def test_resources_count_each_gate_once(self):
+        """Two cnots on a |+> control: each gate is one controlled-path and
+        one merging gate, whatever the number of records it runs on."""
+        doc = json.loads(CNOT_DOC)
+        doc["photons"][0]["state"] = "+"
+        doc["circuit"] *= 2
+        report = run_program(parse_circuit(json.dumps(doc)))
+        assert report["ok"] and len(report["records"]) > 1
+        res = report["resources"]
+        assert (res["c_path_count"], res["merging_count"], res["qubus_uses"],
+                res["ancilla_photons_concurrent"]) == (2, 2, 4, 1)
+        assert res["cumulative_qubus_attenuation"] == pytest.approx(
+            math.cos(0.5) ** 4, abs=1e-12)
+
     def test_fredkin_demo_file(self):
         text = (REPO / "circuits" / "fredkin.json").read_text()
         report = run_program(parse_circuit(text))
@@ -331,3 +390,10 @@ class TestGoldenGateOutputs:
     def test_resources_output(self, args, capsys):
         assert main(["resources"] + args.split()) == 0
         assert capsys.readouterr().out == self.RESOURCES[args]
+
+    def test_resource_scaling_script(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "resource_scaling.py"), "6"],
+            capture_output=True, text=True, cwd=REPO, env=env, check=True)
+        assert proc.stdout == (GOLDEN / "resource_scaling.txt").read_text()
