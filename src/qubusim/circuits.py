@@ -330,7 +330,8 @@ RUN_FIELDS = {
                                              lambda val: _is_number(val) and 0 <= val <= 1,
                                              float),
                                 "gamma": _NUMBER, "theta_p": _NUMBER}).optional(None),
-    "tail": _NUMBER.optional(1e-12),
+    "tail": _Kind("a number in (0, 1)",
+                  lambda val: _is_number(val) and 0 < val < 1, float).optional(1e-12),
     "cutoff": _INT.optional(),
 }
 _PHOTON_FIELDS = {"id": _NAME, "path": _INT,

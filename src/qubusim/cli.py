@@ -145,18 +145,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _floats(args, option: str) -> list[float]:
+    """The comma-separated items of `--option`, each a finite number as in
+    a circuit document; a bad item is a parse error naming the option."""
+    def number(item: str):
+        try:
+            return float(item)
+        except ValueError:
+            return item
+    return [circuits._NUMBER.parse(number(x), option, "command line")
+            for x in getattr(args, option).split(",") if x.strip()]
 
 
 def _cmd_error_curve(args) -> int:
+    thetas, alphas, gammas, etas = (_floats(args, option) for option in
+                                    ("theta", "alpha", "gamma", "eta"))
+    theta_ps = _floats(args, "theta_p") if args.theta_p else None
     rows = []
-    for theta in _floats(args.theta):
-        for alpha in _floats(args.alpha):
-            for gamma in _floats(args.gamma):
-                for eta in _floats(args.eta):
-                    thps = _floats(args.theta_p) if args.theta_p else [theta]
-                    for thp in thps:
+    for theta in thetas:
+        for alpha in alphas:
+            for gamma in gammas:
+                for eta in etas:
+                    for thp in theta_ps or [theta]:
                         det = DetectorParams(eta=eta, gamma=gamma, theta_p=thp)
                         exact = detection_error_exact(alpha, theta, det)
                         approx = detection_error_eq11(alpha, theta, det)

@@ -1,5 +1,17 @@
-"""Measurement layer: Fock projection of a qubus beam and the indirect
-photon-number (QND) readout with a realistic detector POVM.
+"""Measurement layer: the one readout of a qubus beam, by photon number or
+through an indirect photon-number (QND) detector with a realistic POVM.
+
+Every gate readout runs `read_beam`: P(n), the photon-number distribution
+of the beam up to the Poisson cutoff, is one array (`_fock_density`, which
+keeps the cross terms of branches that are not orthogonal elsewhere), a
+response table R[n, o] (the identity for photon counting, the detector
+response for a QND readout) gives P(o) = Σ_n P(n)·R[n, o], and a post-state
+is built only for the outcomes reported: each outcome, one per parity class
+on a bus of amplitudes 0 and ±z, or the one drawn.  `qnd_detect`, the POVM
+readout of a circuit's `qnd` instruction, weights each branch by the root
+of its POVM response instead of collapsing onto the inferred photon number;
+that keeps the post-state pure and is exact whenever branches with distinct
+signal amplitudes are orthogonal on the photon side, as in every gate here.
 
 The QND readout chain is: attach probe beams |γ⟩|γ⟩, rotate the first probe
 by e^{inθp} per signal Fock component n, interfere the probes on a 50:50 BS
@@ -11,20 +23,9 @@ efficiency η whose diagonal POVM elements are
     Π_E     = 1 − Π0 − Σ_k Π_{n_k}                   (ambiguous response)
             = Σ_{m uncovered} [1 − (1−η)^m] |m⟩⟨m|,
 
-where the uncovered m lie below the first peak bin or above the last.
-
-The detector response is one array per probe mean: the Poisson window of
-the difference mode (±40σ) is evaluated once, and each outcome sums its
-slice of it; Π_E sums the uncovered slices directly rather than taking the
-complement, so its small weights are not rounding noise.  `response_matrix`
-stacks these rows into R[n, o] for the signal Fock numbers n.
-
-Outcome probabilities are computed exactly (including interference between
-non-orthogonal branches through the discarded probe modes), as one product
-of the per-amplitude Fock vectors with R.  Post-measurement states are kept
-pure by weighting each branch with the root of its POVM response, which is
-exact whenever branches with distinct signal amplitudes are orthogonal on
-the photon side — true in every gate pipeline here.
+where the uncovered m lie below the first peak bin or above the last.  Each
+outcome sums its slice of one Poisson window (±40σ) of the difference mode;
+Π_E sums the uncovered slices, so its small weights are not rounding noise.
 
 Direct Fock projection removes the measured beam from the registry (a Fock
 state is not representable by a coherent label).  By default the collapse is
@@ -129,7 +130,7 @@ def _fock_amp(beta: complex, n: int) -> complex:
     return mag * cmath.exp(1j * n * cmath.phase(beta))
 
 
-# -- direct Fock projection ---------------------------------------------------
+# -- the photon-number distribution of a beam ---------------------------------
 
 def _fock_collapse(state: HybridState, beam: int, n: int,
                    vacuum_pointer: bool, zero_tol: float = 1e-9):
@@ -160,13 +161,10 @@ def _beam_means(state: HybridState, beam: int) -> set[float]:
     return {a ** 2 for a in amps}
 
 
-def _beam_cutoff(means, tail: float) -> int:
-    """Largest Poisson cutoff over the branch means of one beam."""
-    return max((poisson_cutoff(m, tail) for m in means), default=0)
-
-
-def _normalized_post(post: HybridState, prob: float) -> HybridState:
-    if prob < sys.float_info.min:
+def _normalized_post(post: HybridState, norm2: float) -> HybridState:
+    """`post`, a nonzero state whose squared norm is about `norm2`, scaled
+    to norm 1 and canonicalized."""
+    if norm2 < sys.float_info.min:
         # the squared amplitudes underflow: rescale before taking the norm
         post = post.scaled(1 / max(abs(br.amp) for br in post.branches))
     return post.scaled(1 / post.norm()).canonicalize(1e-12)
@@ -219,12 +217,12 @@ def _fock_density(state: HybridState, beam: int, n_max: int,
 
 def _readout_range(state: HybridState, beam: int, cutoff: Optional[int],
                    tail: float) -> int:
-    """The largest n a Fock readout of `beam` covers: the Poisson cutoff of
-    its branch means, or `cutoff` when given.  Raises CutoffTooSmall when
+    """The largest n a readout of `beam` covers: the Poisson cutoff of its
+    branch means, or `cutoff` when given.  Raises CutoffTooSmall when
     `cutoff` leaves a Poisson tail above 1e-9."""
     state.require_beam(beam)
     means = _beam_means(state, beam)
-    needed = _beam_cutoff(means, tail)
+    needed = max((poisson_cutoff(m, tail) for m in means), default=0)
     if cutoff is None:
         return needed
     if cutoff < needed and any(
@@ -233,27 +231,6 @@ def _readout_range(state: HybridState, beam: int, cutoff: Optional[int],
         raise CutoffTooSmall(
             f"cutoff {cutoff} leaves a Poisson tail above 1e-9 (need {needed})")
     return cutoff
-
-
-def enumerate_fock_outcomes(state: HybridState, beam: int,
-                            cutoff: Optional[int] = None,
-                            tail: float = 1e-12,
-                            vacuum_pointer: bool = False,
-                            ) -> list[tuple[int, float, HybridState]]:
-    """Project a beam onto |n⟩⟨n| for every n up to the Poisson tail.
-
-    Returns (n, probability, normalized post-state) triples.  The measured
-    beam leaves the registry; probabilities are the squared norms of the
-    projected states and sum to 1 up to the truncation tail.
-    """
-    n_max = _readout_range(state, beam, cutoff, tail)
-    out = []
-    for n in range(n_max + 1):
-        post, prob = _fock_collapse(state, beam, n, vacuum_pointer)
-        if prob <= 0:
-            continue
-        out.append((n, prob, _normalized_post(post, prob)))
-    return out
 
 
 _CLASS_TOL = 1e-12
@@ -274,59 +251,6 @@ def _class_amplitude(state: HybridState, beam: int) -> Optional[complex]:
     return z
 
 
-def fock_outcome_classes(state: HybridState, beam: int, tail: float = 1e-12,
-                         vacuum_pointer: bool = False,
-                         ) -> Optional[list[tuple[int, float, HybridState, int]]]:
-    """Fock readout of a beam whose amplitudes are 0, +z or −z, by class.
-
-    On such a beam the outcome n ≥ 1 projects onto e^{−|z|²/2}·zⁿ/√n! ·
-    (A₊ + (−1)ⁿA₋), where A± gathers the branches at ±z, so all outcomes of
-    one parity leave the same post-state up to a global phase.  The readout
-    then has three classes: n = 0, odd n, and even n ≥ 2.  Each class is one
-    (n, probability, post-state, multiplicity) tuple, the record `coalesce`
-    makes of the class's `enumerate_fock_outcomes` records:
-
-    * n is the smallest member whose probability is positive, and the
-      post-state is the collapse at that n;
-    * the probability sums Pois(n; |z|²)·‖A₊ ± A₋‖² over the members up to
-      the same Poisson cutoff, and the multiplicity counts those members.
-
-    Tuples come in increasing n.  Returns None when the beam carries any
-    other amplitudes; the caller then enumerates per n.
-    """
-    state.require_beam(beam)
-    z = _class_amplitude(state, beam)
-    if z is None:
-        return None
-    n_max = _beam_cutoff(_beam_means(state, beam), tail)
-    mean = abs(z) ** 2
-    out = []
-    post, prob = _fock_collapse(state, beam, 0, vacuum_pointer)
-    if prob > 0:
-        out.append((0, prob, _normalized_post(post, prob), 1))
-    for first, minus_sign in ((1, -1.0), (2, 1.0)):
-        # A₊ ± A₋: the zero-amplitude branches do not reach n ≥ 1
-        superposed = state.remove_beam_weighted(
-            beam, lambda br: 0.0 if abs(br.qubus[beam]) <= _CLASS_TOL
-            else 1.0 if abs(br.qubus[beam] - z) <= _CLASS_TOL else minus_sign)
-        factor = superposed.inner(superposed).real
-        weights = ((n, poisson_pmf(n, mean) * factor)
-                   for n in range(first, n_max + 1, 2))
-        members = [(n, w) for n, w in weights if w > 0]
-        # where the weights leave the float range from below, the squared
-        # collapse amplitudes underflow a few members earlier than Pois(n)
-        while members:
-            post, prob = _fock_collapse(state, beam, members[0][0],
-                                        vacuum_pointer)
-            if prob > 0:
-                break
-            members.pop(0)
-        if members:
-            out.append((members[0][0], sum(w for _, w in members),
-                        _normalized_post(post, prob), len(members)))
-    return sorted(out, key=lambda o: o[0])
-
-
 def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
     """Inverse-CDF draw; deterministic for a fixed generator state."""
     u = rng.random()
@@ -336,26 +260,6 @@ def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
         if u < acc:
             return i
     return len(probabilities) - 1
-
-
-def sample_fock(state: HybridState, beam: int, rng: np.random.Generator,
-                tail: float = 1e-12, vacuum_pointer: bool = False,
-                cutoff: Optional[int] = None) -> tuple[int, HybridState]:
-    """Draw one Fock outcome from the exact distribution and collapse onto it.
-
-    P(n) for every n up to the Poisson cutoff (or `cutoff`, checked as in
-    `enumerate_fock_outcomes`) is one array (`_fock_density`).
-    A single `draw_index` over the n with P(n) > 0, in increasing n, picks
-    the outcome (the same uniform and order as a draw over
-    `enumerate_fock_outcomes`), and only that n is collapsed: the post-state
-    is identical to the enumerated one for that n.
-    """
-    n_max = _readout_range(state, beam, cutoff, tail)
-    _, _, density = _fock_density(state, beam, n_max)
-    support = np.flatnonzero(density > 0)
-    n = int(support[draw_index(density[support].tolist(), rng)])
-    post, prob = _fock_collapse(state, beam, n, vacuum_pointer)
-    return n, _normalized_post(post, prob)
 
 
 # -- POVM construction --------------------------------------------------------
@@ -468,7 +372,16 @@ def response_matrix(det: DetectorParams, bins: PovmBins, n_max: int) -> np.ndarr
                      for n in range(n_max + 1)])
 
 
-# -- the QND module -----------------------------------------------------------
+def _response_table(det: DetectorParams, n_max: int,
+                    k_max: Optional[int]) -> tuple[int, np.ndarray]:
+    """The peak count k_max of a readout (by default one peak per n up to
+    n_max, and at least one) and its response table R[n, o]."""
+    if k_max is None:
+        k_max = max(n_max, 1)
+    return k_max, response_matrix(det, povm_bins(det, k_max), n_max)
+
+
+# -- the QND analysis ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class _QndAnalysis:
@@ -487,21 +400,141 @@ class _QndAnalysis:
 
 def _qnd_analysis(state: HybridState, beam: int, det: DetectorParams,
                   k_max: Optional[int], tail: float) -> _QndAnalysis:
-    """Shared outcome-probability analysis for the QND readout.
-
-    Probabilities are exact (see `_fock_density`):
-    P(o) = Re Σ_ab M[a, b]·(F_a ∘ F̄_b) @ R[:, o] = Σ_n P(n)·R[n, o].
-    """
-    state.require_beam(beam)
-    n_max = _beam_cutoff(_beam_means(state, beam), tail)
-    if k_max is None:
-        k_max = max(n_max, 1)
-    resp = response_matrix(det, povm_bins(det, k_max), n_max)
+    """Outcome probabilities of a QND readout (see `_fock_density`):
+    P(o) = Re Σ_ab M[a, b]·(F_a ∘ F̄_b) @ R[:, o] = Σ_n P(n)·R[n, o]."""
+    n_max = _readout_range(state, beam, None, tail)
+    k_max, resp = _response_table(det, n_max, k_max)
     amps, fock, density = _fock_density(state, beam, n_max)
     roots = np.sqrt(np.abs(fock) ** 2 @ resp).tolist()
     return _QndAnalysis(outcomes=outcome_keys(k_max),
                         probs=(density @ resp).tolist(),
                         roots=dict(zip(amps, roots)))
+
+
+_QND_FLOOR = 1e-300  # the smallest outcome probability a QND readout reports
+
+
+# -- the one readout ----------------------------------------------------------
+
+def read_beam(state: HybridState, beam: int,
+              det: Optional[DetectorParams] = None, *,
+              k_max: Optional[int] = None, tail: float = 1e-12,
+              cutoff: Optional[int] = None, vacuum_pointer: bool = False,
+              classes: bool = False,
+              rng: Optional[np.random.Generator] = None) -> list[tuple]:
+    """Read one beam by photon number (up to `cutoff` when given), or
+    through the QND detector `det`.
+
+    Returns an (n̂, label, probability, post-state, multiplicity) record per
+    outcome of probability above 0 (Fock) or 1e-300 (QND), in outcome order.
+    Outcome n of a Fock readout infers n̂ = n, label ("n", n); a QND readout
+    infers n̂ = 0 (("qnd", "vacuum")), n̂ = k (("qnd_peak", k)) or nothing
+    (n̂ = None, ("qnd", "ambiguous")).  The beam is collapsed onto |n̂⟩, or
+    each branch weighted by its POVM response root where n̂ is None.  With
+    `rng`, one `draw_index` over those outcomes picks the one record of a
+    shot (probability 1).  Else, with `classes`, a beam of amplitudes 0 and
+    ±z folds the outcomes n̂ ≥ 1 of one parity into one record at the first
+    member, with the summed probability and the member count.
+    """
+    if det is None:
+        n_max = _readout_range(state, beam, cutoff, tail)
+        probs = _fock_density(state, beam, n_max)[2]
+    else:
+        analysis = _qnd_analysis(state, beam, det, k_max, tail)
+        probs = np.maximum(analysis.probs, 0.0)
+    # outcome o infers n̂ = o; the last QND outcome (ambiguous) infers none
+    n_hats = np.arange(len(probs))
+    if det is not None:
+        n_hats[-1] = -1
+    support = probs > (0.0 if det is None else _QND_FLOOR)
+    outcomes = np.flatnonzero(support)
+
+    def inferred(o: int) -> tuple:
+        n_hat = int(n_hats[o])
+        if det is None:
+            return n_hat, ("n", n_hat)
+        if n_hat < 0:
+            return None, ("qnd", AMBIGUOUS)
+        return n_hat, ("qnd", VACUUM) if n_hat == 0 else ("qnd_peak", n_hat)
+
+    def post_state(o: int) -> Optional[HybridState]:
+        """The normalized post-state of outcome o; None where the collapse
+        onto its n̂ underflows to zero."""
+        if n_hats[o] < 0:
+            return _normalized_post(analysis.weighted_post(state, beam, o),
+                                    analysis.probs[o])
+        post, norm2 = _fock_collapse(state, beam, int(n_hats[o]), vacuum_pointer)
+        return _normalized_post(post, norm2) if norm2 > 0 else None
+
+    if rng is not None:
+        drawn = int(outcomes[draw_index(probs[outcomes].tolist(), rng)])
+        return [(*inferred(drawn), 1.0, post_state(drawn), 1)]
+    probs = probs.tolist()
+    if classes and _class_amplitude(state, beam) is not None:
+        folded = support & (n_hats > 0)
+        groups = [[o] for o in np.flatnonzero(support & ~folded).tolist()] + [
+            np.flatnonzero(folded & (n_hats % 2 == r)).tolist() for r in (1, 0)]
+    else:
+        groups = [[o] for o in outcomes.tolist()]
+    records = []
+    for group in groups:
+        # members whose collapse underflows to zero are left out
+        while group and (post := post_state(group[0])) is None:
+            group = group[1:]
+        if group:
+            records.append((group[0], (*inferred(group[0]), sum(
+                probs[o] for o in group), post, len(group))))
+    return [rec for _, rec in sorted(records)]
+
+
+def enumerate_fock_outcomes(state: HybridState, beam: int,
+                            cutoff: Optional[int] = None,
+                            tail: float = 1e-12,
+                            vacuum_pointer: bool = False,
+                            ) -> list[tuple[int, float, HybridState]]:
+    """(n, probability, normalized post-state) for every n with P(n) > 0
+    up to the Poisson tail (or `cutoff`); the measured beam is removed."""
+    return [(n, p, post) for n, _, p, post, _ in read_beam(
+        state, beam, tail=tail, cutoff=cutoff, vacuum_pointer=vacuum_pointer)]
+
+
+def fock_outcome_classes(state: HybridState, beam: int, tail: float = 1e-12,
+                         vacuum_pointer: bool = False,
+                         ) -> Optional[list[tuple[int, float, HybridState, int]]]:
+    """Fock readout of a beam whose amplitudes are 0, +z or −z, by class.
+
+    On such a beam the outcome n ≥ 1 projects onto e^{−|z|²/2}·zⁿ/√n! ·
+    (A₊ + (−1)ⁿA₋), where A± gathers the branches at ±z, so all outcomes of
+    one parity leave the same post-state up to a global phase.  The classes
+    n = 0, odd n and even n ≥ 2 each give the (n, probability, post-state,
+    multiplicity) that `coalesce` makes of their `enumerate_fock_outcomes`
+    records, in increasing n.  None for a beam with any other amplitudes.
+    """
+    state.require_beam(beam)
+    if _class_amplitude(state, beam) is None:
+        return None
+    return [(n, p, post, m) for n, _, p, post, m in read_beam(
+        state, beam, tail=tail, vacuum_pointer=vacuum_pointer, classes=True)]
+
+
+def sample_fock(state: HybridState, beam: int, rng: np.random.Generator,
+                tail: float = 1e-12, vacuum_pointer: bool = False,
+                cutoff: Optional[int] = None) -> tuple[int, HybridState]:
+    """Draw one Fock outcome as a draw over `enumerate_fock_outcomes` with
+    the same generator would, and collapse onto the drawn n only."""
+    [(n, _, _, post, _)] = read_beam(state, beam, tail=tail, cutoff=cutoff,
+                                     vacuum_pointer=vacuum_pointer, rng=rng)
+    return n, post
+
+
+def qnd_gate_outcomes(state: HybridState, beam: int, det: DetectorParams,
+                      k_max: Optional[int] = None, tail: float = 1e-12):
+    """QND readout as used inside a gate: (inferred n, label, probability,
+    post-state) per outcome of probability above 1e-300, the post-state
+    collapsed onto the inferred n (the pointer component for vacuum), or
+    response-weighted with n = None for the ambiguous outcome."""
+    return [rec[:4] for rec in read_beam(state, beam, det, k_max=k_max,
+                                         tail=tail, vacuum_pointer=True)]
 
 
 def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
@@ -512,18 +545,17 @@ def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
     Returns a list of (PovmOutcome, post-state) pairs covering the full
     outcome alphabet {vacuum, peak k, ambiguous} (probabilities sum to 1), or
     a single sampled pair for mode="sample".  The measured beam is removed;
-    each branch is reweighted by the root of its POVM response.
+    each branch is reweighted by the root of its POVM response.  An outcome
+    of probability 1e-300 or less has no post-state (None).
     """
     analysis = _qnd_analysis(state, beam, det, k_max, tail)
     probs = [max(p, 0.0) for p in analysis.probs]
 
     def result(i: int):
         tag, k = analysis.outcomes[i]
-        outcome = PovmOutcome(tag=tag, k=k, probability=probs[i])
-        if probs[i] <= 1e-300:
-            return outcome, None
-        post = analysis.weighted_post(state, beam, i)
-        return outcome, post.scaled(1 / post.norm()).canonicalize(1e-12)
+        post = (_normalized_post(analysis.weighted_post(state, beam, i), probs[i])
+                if probs[i] > _QND_FLOOR else None)
+        return PovmOutcome(tag=tag, k=k, probability=probs[i]), post
 
     if mode == "enumerate":
         return [result(i) for i in range(len(probs))]
@@ -534,41 +566,7 @@ def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
     raise PreconditionViolation(f"unknown mode {mode!r}")
 
 
-def qnd_gate_outcomes(state: HybridState, beam: int, det: DetectorParams,
-                      k_max: Optional[int] = None, tail: float = 1e-12):
-    """QND readout as used inside a gate: (inferred n, label, probability,
-    post-state) tuples.
-
-    Probabilities come from the exact POVM analysis; the post-state is the
-    collapse conditioned on the *inferred* photon number (vacuum → the
-    zero-amplitude pointer component, peak k → the Fock-k weighting), which
-    is what the classically fed-forward corrections act on.  Ambiguous
-    records carry the uncorrectable response-weighted state and n = None.
-    """
-    analysis = _qnd_analysis(state, beam, det, k_max, tail)
-    results = []
-    for i, (tag, k) in enumerate(analysis.outcomes):
-        p = max(analysis.probs[i], 0.0)
-        if p <= 1e-300:
-            continue
-        if tag == VACUUM:
-            n_hat = 0
-            post, _ = _fock_collapse(state, beam, 0, vacuum_pointer=True)
-            label = ("qnd", "vacuum")
-        elif tag == PEAK:
-            n_hat = k
-            post, _ = _fock_collapse(state, beam, k, vacuum_pointer=False)
-            label = ("qnd_peak", k)
-        else:
-            n_hat = None
-            post = analysis.weighted_post(state, beam, i)
-            label = ("qnd", "ambiguous")
-        norm = post.norm()
-        if norm == 0:
-            continue
-        results.append((n_hat, label, p, post.scaled(1 / norm).canonicalize(1e-12)))
-    return results
-
+# -- readout of a coherent signal ---------------------------------------------
 
 def misclassification_probability(det: DetectorParams, signal_mean: float,
                                   k_max: Optional[int] = None,
@@ -579,9 +577,8 @@ def misclassification_probability(det: DetectorParams, signal_mean: float,
     k = n peak; residual Poisson mass beyond k_max counts as error.
     """
     n_max = poisson_cutoff(signal_mean, tail)
-    if k_max is None:
-        k_max = max(n_max, 1)
-    resp = response_matrix(det, povm_bins(det, k_max), n_max).tolist()
+    k_max, resp = _response_table(det, n_max, k_max)
+    resp = resp.tolist()
     return 1.0 - sum(poisson_pmf(n, signal_mean) * resp[n][n]
                      for n in range(min(n_max, k_max) + 1))
 
@@ -592,9 +589,8 @@ def simulate_readout(det: DetectorParams, signal_mean: float, shots: int,
     """Monte-Carlo (true n, outcome tag, outcome k) triples for a coherent
     signal: latent Fock draws followed by detector responses."""
     n_max = poisson_cutoff(signal_mean, tail)
-    if k_max is None:
-        k_max = max(n_max, 1)
-    resp = response_matrix(det, povm_bins(det, k_max), n_max).tolist()
+    k_max, resp = _response_table(det, n_max, k_max)
+    resp = resp.tolist()
     keys = outcome_keys(k_max)
     pois = [poisson_pmf(n, signal_mean) for n in range(n_max + 1)]
     records = []
@@ -619,7 +615,13 @@ def detection_error_exact(alpha: float, theta: float, det: DetectorParams,
     Exact summation of Σ_{n≥1} Pois(n; |β|²) · e^{−η|γ|²(1−cos nθp)} with
     the Poisson tail below `tail`.  The n = 0 term is a correct
     classification, not an error, so it is excluded; θ = 0 therefore gives 0.
+    A signal above `_MAX_MEAN` mean photons, or not finite, raises
+    PreconditionViolation, as a readout of such a beam does.
     """
+    amp = alpha * math.sin(theta)
+    if not 2.0 * amp * amp <= _MAX_MEAN:
+        raise PreconditionViolation(
+            f"the signal holds more than {_MAX_MEAN:g} photons on average")
     mean = signal_mean_from_gate(alpha, theta)
     if mean == 0:
         return 0.0

@@ -28,12 +28,12 @@ The public `c_path` and `merging` return one record per photon number n
 (per detector peak in `QndMode`).  Inside the composite gates every measured
 bus carries only the amplitudes 0 and ±iβ, and every n ≥ 1 of one parity
 leaves the same corrected state up to a global phase.  So the composites
-read each bus by outcome class instead: in exact mode one record for n = 0,
-one for odd n and one for even n ≥ 2 (see `fock_outcome_classes`); in
-`QndMode` the vacuum and ambiguous records plus one record for the odd and
-one for the even detector peaks (see `_peak_parity_classes`).  Each class
-record is the record `coalesce` would make of its members.  A bus with any
-other amplitudes is read per n, or per peak, as before.
+read each bus by outcome class instead: one record for n = 0 (in `QndMode`
+the vacuum record), one for the odd and one for the even n ≥ 2 (detector
+peaks), plus the ambiguous record in `QndMode`.  Each class record is the
+record `coalesce` would make of its members.  A bus with any other
+amplitudes is read per n, or per peak, as before.  Every mode reads a bus
+with one `read_beam` call (`_measure_beam`).
 
 Every merging parks the measured photon on one of four localization paths
 as the recycled ancilla, in |+⟩ or |−⟩, and the next merging first swaps it
@@ -61,8 +61,8 @@ per stage, and one fresh ancilla photon for the first merging that has no
 parked one to reuse.
 
 `SampleMode` draws n from the bus's photon-number distribution, computed as
-one array, and collapses the bus only at the drawn n (`sample_fock`), so a
-sampled shot builds one post-state per measured bus for any bus.
+one array, and collapses the bus only at the drawn n, so a sampled shot
+builds one post-state per measured bus for any bus.
 """
 
 from __future__ import annotations
@@ -79,12 +79,10 @@ from . import detection
 from .detection import (
     DetectorParams,
     draw_index,
-    enumerate_fock_outcomes,
-    fock_outcome_classes,
+    enumerate_fock_outcomes,  # re-exported; no gate enumerates per n
     povm_bins,
-    qnd_gate_outcomes,
+    read_beam,
     response_matrix,
-    sample_fock,
 )
 from .elements import ANY, ModeSelector, pbs_diag, phase_shift, photon_bs, qubus_bs, qubus_phase, xpm
 from .errors import PreconditionViolation
@@ -98,8 +96,6 @@ from .kak import (
     kak_decompose,
 )
 from .state import Branch, HybridState
-
-_SQ2 = math.sqrt(2)
 
 
 # -- measurement modes --------------------------------------------------------
@@ -147,55 +143,17 @@ def _composite_mode(mode: Optional[MeasureMode]) -> MeasureMode:
     return mode
 
 
-def _peak_parity_classes(outcomes):
-    """Group the QND readout of a bus holding only 0 and ±z by peak parity.
-
-    Peak k collapses such a bus onto A₊ + (−1)ᵏA₋ up to a global phase, so
-    the peaks of one parity leave the same state.  Each parity becomes one
-    record at its first peak's place, with that peak's n̂, label and
-    post-state, the members' probabilities summed in increasing k and their
-    count as multiplicity: the record `coalesce` makes of them.  Vacuum and
-    ambiguous records pass through.
-    """
-    out = []
-    first = {}
-    for n_hat, label, prob, post in outcomes:
-        if n_hat in (None, 0):
-            out.append([n_hat, label, prob, post, 1])
-        elif n_hat % 2 in first:
-            rec = out[first[n_hat % 2]]
-            rec[2] += prob
-            rec[4] += 1
-        else:
-            first[n_hat % 2] = len(out)
-            out.append([n_hat, label, prob, post, 1])
-    return [tuple(rec) for rec in out]
-
-
 def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
     """(inferred n, label, probability, post-state, multiplicity) for each
-    outcome."""
-    if isinstance(mode, _ClassMode):
-        classes = fock_outcome_classes(state, beam, tail=mode.tail,
-                                       vacuum_pointer=True)
-        if classes is not None:
-            return [(n, ("n", n), p, post, m) for n, p, post, m in classes]
-    if isinstance(mode, ExactMode):
-        return [(n, ("n", n), p, post, 1) for n, p, post in
-                enumerate_fock_outcomes(state, beam, tail=mode.tail,
-                                        vacuum_pointer=True)]
-    if isinstance(mode, SampleMode):
-        n, post = sample_fock(state, beam, mode.rng, tail=mode.tail,
-                              vacuum_pointer=True)
-        return [(n, ("n", n), 1.0, post, 1)]
-    if isinstance(mode, QndMode):
-        outcomes = qnd_gate_outcomes(state, beam, mode.det, mode.k_max,
-                                     mode.tail)
-        if (isinstance(mode, _QndClassMode)
-                and detection._class_amplitude(state, beam) is not None):
-            return _peak_parity_classes(outcomes)
-        return [(n, label, p, post, 1) for n, label, p, post in outcomes]
-    raise PreconditionViolation(f"unknown measurement mode {mode!r}")
+    outcome, or for the one drawn outcome in `SampleMode`: one `read_beam`
+    call, by outcome class in the composites' class modes."""
+    if not isinstance(mode, (ExactMode, QndMode, SampleMode)):
+        raise PreconditionViolation(f"unknown measurement mode {mode!r}")
+    return read_beam(state, beam, getattr(mode, "det", None),
+                     k_max=getattr(mode, "k_max", None), tail=mode.tail,
+                     vacuum_pointer=True,
+                     classes=isinstance(mode, (_ClassMode, _QndClassMode)),
+                     rng=getattr(mode, "rng", None))
 
 
 # -- resource accounting ------------------------------------------------------

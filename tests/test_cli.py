@@ -120,7 +120,8 @@ class TestParsing:
         ({"theta": None}, "theta"), ({"tail": [1]}, "tail"),
         ({"cutoff": "3"}, "cutoff"), ({"detector": [0.9, 200, 0.1]}, "detector"),
         ({"alpha": float("nan")}, "alpha"), ({"theta": float("inf")}, "theta"),
-        ({"mode": "sample", "seed": -1}, "seed"),
+        ({"mode": "sample", "seed": -1}, "seed"), ({"tail": -1}, "tail"),
+        ({"tail": 0}, "tail"), ({"tail": 1.5}, "tail"),
     ])
     def test_malformed_run_options_are_parse_errors(self, tmp_path, run, field):
         doc = json.loads(CNOT_DOC)
@@ -143,11 +144,15 @@ class TestParsing:
         src.write_text(json.dumps(doc))
         assert main(["run", str(src)]) == 2
 
-    def test_negative_seed_override_is_a_parse_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option,value", [("seed", "-1"), ("tail", "-1"),
+                                              ("tail", "1")])
+    def test_malformed_run_overrides_are_parse_errors(self, tmp_path, capsys,
+                                                      option, value):
         src = tmp_path / "cnot.json"
         src.write_text(CNOT_DOC)
-        assert main(["run", str(src), "--mode", "sample", "--seed", "-1"]) == 2
-        assert "'seed'" in capsys.readouterr().err
+        assert main(["run", str(src), "--mode", "sample",
+                     f"--{option}", value]) == 2
+        assert f"'{option}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ins", [
         {"op": "cnot", "control": "C", "target": "C"},
@@ -346,6 +351,21 @@ class TestCommandLine:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("theta,alpha,gamma,eta,theta_p")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("option,value,code,message", [
+        ("--alpha", "1e308", 1, "error: the signal holds more than"),
+        ("--alpha", "inf", 2, "'alpha' must be a finite number"),
+        ("--alpha", "nan", 2, "'alpha' must be a finite number"),
+        ("--theta", "x", 2, "'theta' must be a finite number"),
+        ("--theta-p", "0.1,nan", 2, "'theta_p' must be a finite number"),
+    ], ids=["alpha-1e308", "alpha-inf", "alpha-nan", "theta-text", "theta-p-nan"])
+    def test_error_curve_rejects_bad_numbers(self, capsys, option, value, code,
+                                             message):
+        args = {"--theta": "0.5", "--alpha": "2", "--gamma": "100",
+                "--eta": "0.9", option: value}
+        assert main(["error-curve"] + [x for kv in args.items() for x in kv]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
     def test_resources_command(self, capsys):
         assert main(["resources", "multi_toffoli", "--qubits", "4"]) == 0

@@ -25,7 +25,7 @@ from qubusim.detection import (
     povm_bins,
     povm_diagonals,
     qnd_detect,
-    qnd_gate_outcomes,
+    read_beam,
     response_matrix,
     sample_fock,
     simulate_readout,
@@ -170,9 +170,11 @@ class TestSampleFockFastPath:
 
     @pytest.mark.parametrize("state", FAST_PATH_STATES)
     def test_density_matches_the_per_n_probabilities(self, state):
-        per_n = {n: p for n, p, _ in enumerate_fock_outcomes(state, 0)}
         n_max = max(poisson_cutoff(abs(br.qubus[0]) ** 2, 1e-12)
                     for br in state.branches)
+        # the Born norm of each per-n collapse, apart from `_fock_density`
+        per_n = {n: p for n in range(n_max + 1)
+                 if (p := detection._fock_collapse(state, 0, n, False)[1]) > 0}
         amps, fock, density = _fock_density(state, 0, n_max)
         assert set(amps) == {br.qubus[0] for br in state.branches}
         assert fock.shape == (len(amps), n_max + 1)
@@ -522,11 +524,12 @@ class TestQndAnalysisArrays:
         """The (state, beam, det, k_max, tail) of every QND readout of a gate."""
         seen = []
 
-        def recording(state, beam, det, k_max=None, tail=1e-12):
-            seen.append((state, beam, det, k_max, tail))
-            return qnd_gate_outcomes(state, beam, det, k_max, tail)
+        def recording(state, beam, det=None, **kw):
+            if det is not None:
+                seen.append((state, beam, det, kw["k_max"], kw["tail"]))
+            return read_beam(state, beam, det, **kw)
 
-        monkeypatch.setattr(gates, "qnd_gate_outcomes", recording)
+        monkeypatch.setattr(gates, "read_beam", recording)
         st = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
         det = DetectorParams(0.9, gamma, 0.1)
         getattr(gates, gate)(st, "C", "T", alpha, 0.5, mode=gates.QndMode(det))

@@ -10,7 +10,6 @@ import pytest
 from qubusim import detection, gates
 from qubusim.detection import (
     DetectorParams,
-    enumerate_fock_outcomes,
     fock_outcome_classes,
     qnd_gate_outcomes,
 )
@@ -400,13 +399,20 @@ def class_beam_state(z: complex) -> HybridState:
 
 
 def per_n_classes(state, tail):
-    """The per-n records of each class: (first n, summed probability,
-    count, state at the first n)."""
+    """The per-n collapses of each class, weighed by their Born norms apart
+    from `_fock_density`: (first n, summed probability, count, state at the
+    first n)."""
+    n_max = max(detection.poisson_cutoff(abs(br.qubus[0]) ** 2, tail)
+                for br in state.branches)
     groups = {}
-    for n, p, post in enumerate_fock_outcomes(state, 0, tail=tail,
-                                              vacuum_pointer=True):
+    for n in range(n_max + 1):
+        post, p = detection._fock_collapse(state, 0, n, True)
+        if p <= 0:
+            continue
         key = 0 if n == 0 else 2 - n % 2
-        first, total, count, rep = groups.get(key, (n, 0.0, 0, post))
+        if key not in groups:
+            groups[key] = (n, 0.0, 0, detection._normalized_post(post, p))
+        first, total, count, rep = groups[key]
         groups[key] = (first, total + p, count + 1, rep)
     return sorted(groups.values(), key=lambda g: g[0])
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qubusim.detection import enumerate_fock_outcomes
-from qubusim.elements import ModeSelector, QubusBS, Xpm
+from qubusim.detection import enumerate_fock_outcomes, fock_outcome_classes
+from qubusim.elements import ModeSelector, QubusBS, Xpm, qubus_bs, xpm
 from qubusim.errors import CutoffTooSmall
 from qubusim.oracle import (
     beam_distribution,
@@ -80,18 +80,41 @@ class TestApply:
             fock_apply(QubusBS(0, 1), fv)
 
 
+def two_photons(vec, beams):
+    st = state_from_amplitudes(
+        [("a", ((0, "H"), (0, "V"))), ("b", ((1, "H"), (1, "V")))], vec)
+    return st.attach_beams(beams)
+
+
+def mixed_beams(vec):
+    """Two beams that never met the photons, mixed on a beam splitter."""
+    return qubus_bs(two_photons(vec, (1.3, 0.8)), 0, 1)
+
+
+def class_form_bus(vec):
+    """Beam 0 at 0 and ±z, the form of every bus a composite gate measures:
+    each photon's V mode shifts its own beam, and the beam splitter leaves
+    their difference on beam 0."""
+    st = xpm(two_photons(vec, (1.3, 1.3)), ModeSelector(0, "V", "a"), 0, 0.9)
+    st = xpm(st, ModeSelector(1, "V", "b"), 1, 0.9)
+    return qubus_bs(st, 0, 1)
+
+
 class TestMeasurement:
-    def test_distributions_match(self, rng):
-        vec = random_qubit_vector(4, rng)
-        st = state_from_amplitudes(
-            [("a", ((0, "H"), (0, "V"))), ("b", ((1, "H"), (1, "V")))], vec)
-        st = st.attach_beams((1.3, 0.8))
-        from qubusim.elements import qubus_bs
-        st = qubus_bs(st, 0, 1)
+    @pytest.mark.parametrize("bus", [mixed_beams, class_form_bus],
+                             ids=["mixed-beams", "class-form"])
+    def test_distributions_match(self, rng, bus):
+        st = bus(random_qubit_vector(4, rng))
         fv = fock_encode(st, 40)
         dist = beam_distribution(fv, 0)
         for n, p, _ in enumerate_fock_outcomes(st, 0, tail=1e-13):
             assert p == pytest.approx(dist[n], abs=1e-8)
+        # both beams 0 hold only 0 and ±z (the mixed one a single z): by
+        # class, n = 0, odd n and even n >= 2 sum the oracle's n
+        classes = fock_outcome_classes(st, 0, tail=1e-13)
+        assert [n for n, _, _, _ in classes] == [0, 1, 2]
+        assert [p for _, p, _, _ in classes] == pytest.approx(
+            [dist[0], dist[1::2].sum(), dist[2::2].sum()], abs=1e-8)
 
     def test_projection_consistency(self):
         # measuring the collapsed mode again returns the same n certainly
