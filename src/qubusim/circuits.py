@@ -170,7 +170,7 @@ class _Step(NamedTuple):
     the run's resource trace."""
     k: int
     program: "CircuitProgram"
-    mode: object
+    mode: gates.MeasureMode
     trace: gates.ResourceTrace
 
 
@@ -235,19 +235,15 @@ def _readout(tag: str, read):
 def _fock(state, a, step):
     program = step.program
     cutoff = a["cutoff"] if a["cutoff"] is not None else program.cutoff
-    if isinstance(step.mode, gates.SampleMode):
-        n, post = detection.sample_fock(state, a["beam"], step.mode.rng,
-                                        tail=program.tail, cutoff=cutoff)
-        return [(n, 1.0, post)]
-    return detection.enumerate_fock_outcomes(state, a["beam"], tail=program.tail,
-                                             cutoff=cutoff)
+    return [(n, p, post) for n, _, p, post, _ in detection.read_beam(
+        state, a["beam"], tail=program.tail, cutoff=cutoff, rng=step.mode.rng)]
 
 
 def _qnd(state, a, step):
     det, tail = step.program.detector, step.program.tail
     if det is None:
         raise ValidationError("qnd instruction needs run.detector")
-    if isinstance(step.mode, gates.SampleMode):
+    if step.mode.rng is not None:
         oc, post = detection.qnd_detect(state, a["beam"], det, mode="sample",
                                         rng=step.mode.rng, tail=tail)
         outcomes = [(oc, 1.0, post)]

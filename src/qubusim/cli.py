@@ -138,11 +138,14 @@ def _cmd_verify_gate(args) -> int:
     return 0 if residual <= GATE_TOL else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _floats(args, option: str) -> list[float]:
@@ -190,8 +193,10 @@ def _cmd_error_curve(args) -> int:
 def _cmd_resources(args) -> int:
     alpha, theta = args.alpha, args.theta
     trace = ResourceTrace()
+    if args.qubits is not None and args.gate != "multi_toffoli":
+        raise ParseError("--qubits applies to multi_toffoli only")
     if args.gate == "multi_toffoli":
-        k = args.qubits - 1 if args.qubits else 3
+        k = args.qubits - 1 if args.qubits is not None else 3
         photons = [(f"q{i}", i, "V") for i in range(k)] + [("t", k, "H")]
         st = product_state(photons)
         multi_toffoli(st, [f"q{i}" for i in range(k)], "t", alpha, theta,
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the structured report (JSON) here")
     p.add_argument("--mode", choices=["exact", "sample"])
     p.add_argument("--seed", type=int, help="64-bit sampling seed")
-    p.add_argument("--shots", type=_positive_int)
+    p.add_argument("--shots", type=_int_at_least(1))
     p.add_argument("--tail", type=float, help="Poisson tail cutoff for enumeration")
     p.add_argument("--cutoff", type=int,
                    help="hard Fock cutoff for measure_fock instructions")
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resources", help="resource report of a built-in gate")
     p.add_argument("gate")
-    p.add_argument("--qubits", type=int,
+    p.add_argument("--qubits", type=_int_at_least(3),
                    help="total qubit count for multi_toffoli (controls + target)")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--theta", type=float, default=0.5)

@@ -20,20 +20,22 @@ qubus components; validated end to end by the gate fidelity tests):
   found on a path fed by the interferometer's minus port, and on the new
   carrier when the detected polarization is |−⟩.
 
-Measurements default to exact Fock enumeration of the measured beam; a
-realistic QND readout (with its explicit ambiguous failure records) is
-opt-in via `QndMode`.
+Measurements default to exact Fock enumeration of the measured beam;
+`QndMode` opts into a realistic QND readout (with its explicit ambiguous
+failure records), `SampleMode` into one drawn outcome per readout.  Each
+builds one `MeasureMode` record.  Both elementary gates read their bus
+through one qubus module (`_bus_readout`).
 
 The public `c_path` and `merging` return one record per photon number n
 (per detector peak in `QndMode`).  Inside the composite gates every measured
 bus carries only the amplitudes 0 and ±iβ, and every n ≥ 1 of one parity
 leaves the same corrected state up to a global phase.  So the composites
-read each bus by outcome class instead: one record for n = 0 (in `QndMode`
-the vacuum record), one for the odd and one for the even n ≥ 2 (detector
-peaks), plus the ambiguous record in `QndMode`.  Each class record is the
-record `coalesce` would make of its members.  A bus with any other
-amplitudes is read per n, or per peak, as before.  Every mode reads a bus
-with one `read_beam` call (`_measure_beam`).
+read each bus by outcome class instead (`classes` is set unless the mode
+samples): one record for n = 0 (in `QndMode` the vacuum record), one for
+the odd and one for the even n ≥ 2 (detector peaks), plus the ambiguous
+record in `QndMode`.  Each class record is the record `coalesce` would make
+of its members.  A bus with any other amplitudes is read per n, or per
+peak, as before.
 
 Every merging parks the measured photon on one of four localization paths
 as the recycled ancilla, in |+⟩ or |−⟩, and the next merging first swaps it
@@ -101,59 +103,58 @@ from .state import Branch, HybridState
 # -- measurement modes --------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExactMode:
-    """Exact Fock enumeration of measured beams (the default)."""
-    tail: float = 1e-12
+class MeasureMode:
+    """How a gate reads its measured beams.
 
-
-@dataclass(frozen=True)
-class QndMode:
-    """Realistic QND readout; introduces explicit ambiguous records."""
-    det: DetectorParams
+    By photon number, or through the QND detector `det` (with its peak count
+    `k_max`); Poisson tail `tail`.  With `rng`, each readout draws one
+    outcome.  With `classes`, a bus of amplitudes 0 and ±z is read by outcome
+    class, as the composite gates read it (`_checked_mode`).
+    """
+    det: Optional[DetectorParams] = None
     k_max: Optional[int] = None
     tail: float = 1e-12
+    rng: Optional[np.random.Generator] = None
+    classes: bool = False
 
 
-@dataclass
-class SampleMode:
+def ExactMode(tail: float = 1e-12) -> MeasureMode:
+    """Exact Fock enumeration of measured beams (the default)."""
+    return MeasureMode(tail=tail)
+
+
+def QndMode(det: DetectorParams, k_max: Optional[int] = None,
+            tail: float = 1e-12) -> MeasureMode:
+    """Realistic QND readout; introduces explicit ambiguous records."""
+    if det is None:
+        raise PreconditionViolation("QND readout needs a detector")
+    return MeasureMode(det=det, k_max=k_max, tail=tail)
+
+
+def SampleMode(rng: np.random.Generator, tail: float = 1e-12) -> MeasureMode:
     """Draw a single outcome per measurement from the exact distribution."""
-    rng: np.random.Generator
-    tail: float = 1e-12
+    if rng is None:
+        raise PreconditionViolation("sampling needs a random generator")
+    return MeasureMode(tail=tail, rng=rng)
 
 
-MeasureMode = Union[ExactMode, QndMode, SampleMode]
-
-
-@dataclass(frozen=True)
-class _ClassMode(ExactMode):
-    """Exact readout by outcome class, as the composite gates run it."""
-
-
-@dataclass(frozen=True)
-class _QndClassMode(QndMode):
-    """QND readout by peak-parity class, as the composite gates run it."""
-
-
-def _composite_mode(mode: Optional[MeasureMode]) -> MeasureMode:
-    mode = mode or ExactMode()
-    if type(mode) is ExactMode:
-        return _ClassMode(mode.tail)
-    if type(mode) is QndMode:
-        return _QndClassMode(mode.det, mode.k_max, mode.tail)
-    return mode
+def _checked_mode(mode: Optional[MeasureMode],
+                  composite: bool = False) -> MeasureMode:
+    """`mode`, exact readout for None.  A `composite` gate reads each bus by
+    outcome class unless it samples."""
+    if mode is None:
+        mode = MeasureMode()
+    if not isinstance(mode, MeasureMode):
+        raise PreconditionViolation(f"unknown measurement mode {mode!r}")
+    return replace(mode, classes=mode.rng is None) if composite else mode
 
 
 def _measure_beam(state: HybridState, beam: int, mode: MeasureMode):
     """(inferred n, label, probability, post-state, multiplicity) for each
-    outcome, or for the one drawn outcome in `SampleMode`: one `read_beam`
-    call, by outcome class in the composites' class modes."""
-    if not isinstance(mode, (ExactMode, QndMode, SampleMode)):
-        raise PreconditionViolation(f"unknown measurement mode {mode!r}")
-    return read_beam(state, beam, getattr(mode, "det", None),
-                     k_max=getattr(mode, "k_max", None), tail=mode.tail,
-                     vacuum_pointer=True,
-                     classes=isinstance(mode, (_ClassMode, _QndClassMode)),
-                     rng=getattr(mode, "rng", None))
+    outcome, by outcome class with `mode.classes`, or the one drawn outcome
+    with `mode.rng`."""
+    return read_beam(state, beam, mode.det, k_max=mode.k_max, tail=mode.tail,
+                     vacuum_pointer=True, classes=mode.classes, rng=mode.rng)
 
 
 # -- resource accounting ------------------------------------------------------
@@ -339,11 +340,36 @@ def coalesce(records: Sequence[Record], tol: float = 1e-9) -> list[Record]:
 
 # -- controlled-path gate -----------------------------------------------------
 
-def _detach_if_uniform(state: HybridState, beam: int):
-    try:
-        return state.detach_beam(beam)
-    except PreconditionViolation:
-        return state, None
+def _bus_readout(state: HybridState, beam1_modes: Sequence[ModeSelector],
+                 beam2_modes: Sequence[ModeSelector], alpha: float, theta: float,
+                 mode: MeasureMode, feed_forward: Callable) -> list[Record]:
+    """The qubus module of both elementary gates: attach two beams (α, α),
+    couple the first to `beam1_modes` and the second to `beam2_modes` by θ,
+    displace both by −θ, mix them on `qubus_bs` and read the first.
+
+    Each readout becomes a record: `feed_forward(n̂, post)` gives its
+    corrected state and corrections, and the surviving beam is detached as
+    the recycled qubus amplitude where it is uniform.
+    """
+    b1 = state.n_beams
+    s = state.attach_beams((alpha, alpha))
+    for beam, modes in ((b1, beam1_modes), (b1 + 1, beam2_modes)):
+        for sel in modes:
+            s = xpm(s, sel, beam, theta)
+    s = qubus_phase(s, b1, -theta)
+    s = qubus_phase(s, b1 + 1, -theta)
+    records = []
+    for n_hat, label, prob, post, mult in _measure_beam(qubus_bs(s, b1, b1 + 1),
+                                                        b1, mode):
+        post, corrections = feed_forward(n_hat, post)
+        try:
+            post, recycled = post.detach_beam(b1)
+        except PreconditionViolation:  # the beam is entangled with the state
+            recycled = None
+        records.append(Record(labels=(label,), probability=prob, state=post,
+                              corrections=corrections, recycled_qubus=recycled,
+                              multiplicity=mult))
+    return records
 
 
 def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
@@ -356,22 +382,7 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
     Outcome n = 0 leaves H-flagged components on `path_h`; n ≠ 0 records are
     corrected by the path swap plus the odd-n π phase.
     """
-    b1 = state.n_beams
-    b2 = b1 + 1
-    s = state.attach_beams((alpha, alpha))
-    s = photon_bs(s, path_h, path_v)
-    s = xpm(s, ModeSelector(path_h, ANY, target), b1, theta)
-    for sel in v_modes:
-        s = xpm(s, sel, b1, theta)
-    s = xpm(s, ModeSelector(path_v, ANY, target), b2, theta)
-    for sel in h_modes:
-        s = xpm(s, sel, b2, theta)
-    s = qubus_phase(s, b1, -theta)
-    s = qubus_phase(s, b2, -theta)
-    s = qubus_bs(s, b1, b2)
-
-    records = []
-    for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
+    def feed_forward(n_hat, post):
         corrections = []
         if n_hat is not None and n_hat != 0:
             post = post.swap_paths(path_h, path_v)
@@ -379,12 +390,13 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
             if n_hat % 2 == 1:
                 post = phase_shift(post, ModeSelector(path_v, ANY, target), math.pi)
                 corrections.append(f"pi phase on path {path_v}")
-        post, recycled = _detach_if_uniform(post, b1)
-        records.append(Record(labels=(label,), probability=prob,
-                              state=post.canonicalize(1e-12),
-                              corrections=tuple(corrections),
-                              recycled_qubus=recycled, multiplicity=mult))
-    return records
+        return post, tuple(corrections)
+
+    records = _bus_readout(photon_bs(state, path_h, path_v),
+                           [ModeSelector(path_h, ANY, target), *v_modes],
+                           [ModeSelector(path_v, ANY, target), *h_modes],
+                           alpha, theta, mode, feed_forward)
+    return [replace(rec, state=rec.state.canonicalize(1e-12)) for rec in records]
 
 
 def c_path(state: HybridState, control: str, target: str,
@@ -399,7 +411,7 @@ def c_path(state: HybridState, control: str, target: str,
     unmeasured qubus beam survives with amplitude √2·α·cosθ (√2·α in the
     quiet record) and is reported for recycling.
     """
-    mode = mode or ExactMode()
+    mode = _checked_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     p1, p2 = target_paths
     state = state.add_paths([p1, p2])
@@ -455,53 +467,38 @@ AncillaSpec = Union[FreshAncilla, ParkedAncilla]
 
 
 def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],
-                   mode: MeasureMode, response: Optional[list[float]]):
-    """Project which of `paths` carries the photon.
+                   mode: MeasureMode, response: Sequence[float]):
+    """(path, label, probability, post-state) of each outcome of finding
+    the photon on one of `paths`.
 
-    Exact mode enumerates the four clean outcomes.  QND mode adds the
-    detector responses, weighted by `response`: per-path clean detections,
-    a global no-click record and per-path ambiguous responses, all flagged
-    for no correction.
+    The clean outcomes are weighted by the `response` of the module reading
+    the one photon, (vacuum, peak, ambiguous); exact readout is (0, 1, 0).
+    A detector adds a no-click record and per-path ambiguous records, whose
+    path is None: they get no correction.  With `mode.rng` one is drawn.
     """
     idx = state.photon_index(photon)
-
-    def projected(path):
-        kept = tuple(br for br in state.branches
-                     if br.config[idx] is not None and br.config[idx][0] == path)
-        sub = replace(state, branches=kept)
-        p = sub.inner(sub).real
-        return p, sub
-
     clean = []
     for t in paths:
-        p, sub = projected(t)
+        sub = replace(state, branches=tuple(
+            br for br in state.branches
+            if br.config[idx] is not None and br.config[idx][0] == t))
+        p = sub.inner(sub).real
         if p > 1e-300:
             clean.append((t, p, sub.scaled(1 / math.sqrt(p)).canonicalize(1e-12)))
 
-    if isinstance(mode, (ExactMode, SampleMode)):
-        results = [(t, ("qnd_path", t), p, sub, True) for t, p, sub in clean]
-        if isinstance(mode, SampleMode):
-            i = draw_index([p for _, _, p, _, _ in results], mode.rng)
-            t, label, _, sub, ok = results[i]
-            return [(t, label, 1.0, sub, ok)]
-        return results
-
-    if isinstance(mode, QndMode):
-        w_vac, w_peak, w_amb = response
-        results = []
-        for t, p, sub in clean:
-            results.append((t, ("qnd_path", t), p * w_peak, sub, True))
-        total = sum(p for _, p, _ in clean)
-        if total * w_vac > 1e-300:
-            results.append((None, ("qnd_path", "no_click"), total * w_vac,
-                            state.canonicalize(1e-12), False))
-        for t, p, sub in clean:
-            if p * w_amb > 1e-300:
-                results.append((None, ("qnd_path_ambiguous", t), p * w_amb,
-                                sub, False))
-        return results
-
-    raise PreconditionViolation(f"unknown measurement mode {mode!r}")
+    w_vac, w_peak, w_amb = response
+    results = [(t, ("qnd_path", t), p * w_peak, sub) for t, p, sub in clean]
+    total = sum(p for _, p, _ in clean)
+    if total * w_vac > 1e-300:
+        results.append((None, ("qnd_path", "no_click"), total * w_vac,
+                        state.canonicalize(1e-12)))
+    for t, p, sub in clean:
+        if p * w_amb > 1e-300:
+            results.append((None, ("qnd_path_ambiguous", t), p * w_amb, sub))
+    if mode.rng is not None:
+        t, label, _, sub = results[draw_index([r[2] for r in results], mode.rng)]
+        return [(t, label, 1.0, sub)]
+    return results
 
 
 def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
@@ -528,7 +525,7 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     records are read by class and merged before localization
     (`_merge_classes`), so the photon is localized once.
     """
-    mode = mode or ExactMode()
+    mode = _checked_mode(mode)
     trace = trace if trace is not None else ResourceTrace()
     p, q = source_paths
     state = state.add_paths([p, q, dest_path])
@@ -557,52 +554,39 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
         if state.occupants(dest_path) != {ancilla.photon}:
             raise PreconditionViolation("parked ancilla is not where recorded")
     anc = ancilla.photon
-    sign = ancilla.sign
 
     state, qnd_paths = state.fresh_paths(4)
     t_p_plus, t_p_minus, t_q_plus, t_q_minus = qnd_paths
     minus_port_paths = {t_q_plus, t_q_minus}
     minus_pol_paths = {t_p_minus, t_q_minus}
 
-    b1 = state.n_beams
-    b2 = b1 + 1
-    s = state.attach_beams((alpha, alpha))
-    s = xpm(s, ModeSelector(p, "V"), b1, theta)
-    s = xpm(s, ModeSelector(q, "V"), b1, theta)
-    s = xpm(s, ModeSelector(dest_path, "H", anc), b1, theta)
-    s = xpm(s, ModeSelector(p, "H"), b2, theta)
-    s = xpm(s, ModeSelector(q, "H"), b2, theta)
-    s = xpm(s, ModeSelector(dest_path, "V", anc), b2, theta)
-    s = qubus_phase(s, b1, -theta)
-    s = qubus_phase(s, b2, -theta)
-    s = qubus_bs(s, b1, b2)
-    trace.log_elementary("merging", theta, couplings=4)
-
-    # (vacuum, peak, ambiguous) weights of a QND module reading the one
-    # photon on a localization path
-    response = (response_matrix(mode.det, povm_bins(mode.det, 1), 1)[1].tolist()
-                if isinstance(mode, QndMode) else None)
-    entangled = []
-    for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
-        corrections = []
+    def feed_forward(n_hat, post):
         if n_hat is None:
             # ambiguous entangler readout: surfaced as a failure record
-            corrections.append(_NO_CORRECTION)
-        else:
-            if n_hat != 0:
-                post = post.apply_photon_unitary(anc, (dest_path, "H"),
-                                                 (dest_path, "V"), PAULI_X)
-                corrections.append("ancilla bit flip")
-            if (n_hat % 2 == 1) != (sign < 0):
-                post = phase_shift(post, ModeSelector(dest_path, "V", anc),
-                                   math.pi)
-                corrections.append("pi phase on ancilla V mode")
-        post, recycled = _detach_if_uniform(post, b1)
-        entangled.append(Record(labels=(label,), probability=prob, state=post,
-                                corrections=tuple(corrections),
-                                recycled_qubus=recycled, multiplicity=mult))
-    if isinstance(mode, (_ClassMode, _QndClassMode)):
+            return post, (_NO_CORRECTION,)
+        corrections = []
+        if n_hat != 0:
+            post = post.apply_photon_unitary(anc, (dest_path, "H"),
+                                             (dest_path, "V"), PAULI_X)
+            corrections.append("ancilla bit flip")
+        if (n_hat % 2 == 1) != (ancilla.sign < 0):
+            post = phase_shift(post, ModeSelector(dest_path, "V", anc), math.pi)
+            corrections.append("pi phase on ancilla V mode")
+        return post, tuple(corrections)
+
+    trace.log_elementary("merging", theta, couplings=4)
+    entangled = _bus_readout(
+        state, [ModeSelector(p, "V"), ModeSelector(q, "V"),
+                ModeSelector(dest_path, "H", anc)],
+        [ModeSelector(p, "H"), ModeSelector(q, "H"),
+         ModeSelector(dest_path, "V", anc)], alpha, theta, mode, feed_forward)
+    if mode.classes:
         entangled = _merge_classes(entangled)
+
+    # the (vacuum, peak, ambiguous) weights of a module reading the one
+    # photon on a localization path
+    response = ((0.0, 1.0, 0.0) if mode.det is None else
+                response_matrix(mode.det, povm_bins(mode.det, 1), 1)[1].tolist())
 
     records = []
     for rec in entangled:
@@ -612,10 +596,10 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
         post = photon_bs(rec.state, p, q)
         post = pbs_diag(post, transmit={p: t_p_plus, q: t_q_plus},
                         reflect={p: t_p_minus, q: t_q_minus})
-        for t, sub_label, sub_prob, sub, correctable in _locate_photon(
-                post, photon, qnd_paths, mode, response):
+        for t, sub_label, sub_prob, sub in _locate_photon(post, photon, qnd_paths,
+                                                          mode, response):
             sub_corr = list(rec.corrections)
-            if correctable:
+            if t is not None:
                 if t in minus_port_paths:
                     sub = phase_shift(sub, companion_flip, math.pi)
                     sub_corr.append("sign flip on companion sector")
@@ -670,12 +654,11 @@ def _fold_onto_seat(records: list[Record], seat: int,
     parked ancilla onto its seat; that swap is made here, and `_fold_sign`
     turns a |−⟩ ancilla into |+⟩.  The records then coalesce, so every
     later stage runs once for them.  Heralded failures are neither moved nor
-    merged; they follow the merged records.  Composites in both class modes
-    only; a list with fewer than two parked ancillas is returned as it is.
+    merged; they follow the merged records.  Only with `mode.classes`; a
+    list with fewer than two parked ancillas is returned as it is.
     """
     live = [rec for rec in records if not _heralded_failure(rec)]
-    if (not isinstance(mode, (_ClassMode, _QndClassMode))
-            or sum(rec.ancilla is not None for rec in live) < 2):
+    if not mode.classes or sum(rec.ancilla is not None for rec in live) < 2:
         return records
     moved = []
     for rec in live:
@@ -770,10 +753,10 @@ def controlled_pair(state: HybridState, control: str, target: str,
     and one merging gate brings the paths back together; the ancilla photon
     used by the merging is recycled and its parked location reported.
     """
+    mode = _checked_mode(mode, composite=True)
     trace = trace if trace is not None else ResourceTrace()
     recs = _controlled_pair_records(initial_records(state), control, target,
-                                    u1, u2, alpha, theta, _composite_mode(mode),
-                                    trace, ancilla)
+                                    u1, u2, alpha, theta, mode, trace, ancilla)
     return GateResult(tuple(recs), trace.report())
 
 
@@ -832,7 +815,7 @@ def synth_two_qubit(state: HybridState, control: str, target: str,
     so the synthesis runs three controlled-path/merging rounds with one
     recycled ancilla photon.
     """
-    mode = _composite_mode(mode)
+    mode = _checked_mode(mode, composite=True)
     trace = trace if trace is not None else ResourceTrace()
     u = check_unitary(np.asarray(u, dtype=complex))
     params = kak_decompose(u)
@@ -889,7 +872,7 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
     exchanged (with the identical-photon labels rebound), and two merging
     gates undo the splits; one ancilla photon serves both mergings.
     """
-    mode = _composite_mode(mode)
+    mode = _checked_mode(mode, composite=True)
     trace = trace if trace is not None else ResourceTrace()
     c_home = _home_path(state, control)
     h1 = _home_path(state, target1)
@@ -926,7 +909,7 @@ def multi_toffoli(state: HybridState, controls: Sequence[str], target: str,
     most once), the flip acts on the all-V target path alone, and k merging
     gates undo the routing while reusing a single ancilla photon.
     """
-    mode = _composite_mode(mode)
+    mode = _checked_mode(mode, composite=True)
     trace = trace if trace is not None else ResourceTrace()
     k = len(controls)
     if k < 2:

@@ -372,6 +372,19 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "c_path_count                 3" in captured.out
 
+    @pytest.mark.parametrize("args", [
+        "multi_toffoli --qubits 0", "multi_toffoli --qubits 2",
+        "multi_toffoli --qubits x", "toffoli --qubits 9", "cnot --qubits 4"])
+    def test_resources_rejects_bad_qubits(self, capsys, args):
+        """`--qubits` is an integer of at least 3, for multi_toffoli only."""
+        try:
+            code = main(["resources"] + args.split())
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--qubits" in captured.err and not captured.out
+
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--alpha", "1.0", "--theta", "0.3",
                      "--cutoff", "30"]) == 0

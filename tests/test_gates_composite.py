@@ -13,6 +13,7 @@ from qubusim.detection import (
     fock_outcome_classes,
     qnd_gate_outcomes,
 )
+from qubusim.elements import ModeSelector
 from qubusim.gates import (
     ExactMode,
     ParkedAncilla,
@@ -450,7 +451,7 @@ class TestFockOutcomeClasses:
             Branch(0.8 + 0j, ((1, 0),), (1j * z,)),
         ))
         assert fock_outcome_classes(st, 0) is None
-        grouped = gates._measure_beam(st, 0, gates._ClassMode())
+        grouped = gates._measure_beam(st, 0, gates.MeasureMode(classes=True))
         per_n = gates._measure_beam(st, 0, ExactMode())
         assert len(grouped) == len(per_n) > 3
         for g, w in zip(grouped, per_n):
@@ -529,7 +530,7 @@ class TestQndPeakClasses:
         det = QND_DETECTORS[1]
         st = class_beam_state(1j * math.sqrt(2.0))
         per_peak = qnd_gate_outcomes(st, 0, det)
-        grouped = gates._measure_beam(st, 0, gates._QndClassMode(det))
+        grouped = gates._measure_beam(st, 0, gates.MeasureMode(det=det, classes=True))
         assert [g[1] for g in grouped] == [("qnd", "vacuum"), ("qnd_peak", 1),
                                            ("qnd_peak", 2), ("qnd", "ambiguous")]
         assert sum(g[4] for g in grouped) == len(per_peak)
@@ -545,7 +546,7 @@ class TestQndPeakClasses:
             Branch(0.8 + 0j, ((1, 0),), (1j * z,)),
         ))
         det = QND_DETECTORS[1]
-        grouped = gates._measure_beam(st, 0, gates._QndClassMode(det))
+        grouped = gates._measure_beam(st, 0, gates.MeasureMode(det=det, classes=True))
         per_peak = gates._measure_beam(st, 0, QndMode(det))
         assert len(grouped) == len(per_peak) > 4
         assert grouped == per_peak
@@ -728,7 +729,7 @@ class TestRecycledAncillaFold:
         rec = Record(labels=(), probability=1.0,
                      state=product_state([("a", 0, "+")]),
                      ancilla=("a", 0, 1))
-        assert gates._fold_onto_seat([rec], 3, gates._ClassMode()) == [rec]
+        assert gates._fold_onto_seat([rec], 3, gates.MeasureMode(classes=True)) == [rec]
         assert merged == []
 
     def test_fold_runs_in_both_class_modes(self):
@@ -736,7 +737,7 @@ class TestRecycledAncillaFold:
         recs = [Record(labels=(), probability=0.5, state=st, ancilla=("a", 0, 1)),
                 Record(labels=(), probability=0.5, state=st.swap_paths(0, 1),
                        ancilla=("a", 1, 1))]
-        folded = gates._fold_onto_seat(recs, 3, gates._ClassMode())
+        folded = gates._fold_onto_seat(recs, 3, gates.MeasureMode(classes=True))
         assert [(r.ancilla, r.probability, r.multiplicity) for r in folded] == [
             (("a", 3, 1), 1.0, 2)]
         assert folded[0].state.occupants(3) == {"a"}
@@ -744,7 +745,7 @@ class TestRecycledAncillaFold:
         # failure follows them unchanged
         failure = Record(labels=(("qnd", "ambiguous"),), probability=0.25,
                          state=st.swap_paths(0, 1), ancilla=("a", 1, 1))
-        qnd = gates._QndClassMode(DetectorParams(0.9, 200.0, 0.1))
+        qnd = gates.MeasureMode(det=DetectorParams(0.9, 200.0, 0.1), classes=True)
         assert gates._fold_onto_seat([recs[0], failure, recs[1]], 3, qnd) == [
             folded[0], failure]
         sample = gates.SampleMode(np.random.default_rng(0))
@@ -757,7 +758,7 @@ class TestRecycledAncillaFold:
                        ancilla=("a", 0, 1)),
                 Record(labels=("m",), probability=0.75, state=minus,
                        corrections=("x",), ancilla=("a", 1, -1))]
-        folded = gates._fold_onto_seat(recs, 3, gates._ClassMode())
+        folded = gates._fold_onto_seat(recs, 3, gates.MeasureMode(classes=True))
         assert [(r.labels, r.ancilla, r.probability, r.multiplicity)
                 for r in folded] == [(("p",), ("a", 3, 1), 1.0, 2)]
         seated = gates._fold_sign(replace(recs[1], state=minus.swap_paths(1, 3),
@@ -818,6 +819,67 @@ class TestLocalizeOncePerMerging:
             assert got_calls["merging"] < want_calls["merging"]
         else:
             assert got_calls["merging"] == want_calls["merging"]
+
+
+# -- sampled readout against the exact distribution ---------------------------------
+
+def drawn_labels(records, uniforms):
+    """The labels inverse-CDF draws with `uniforms` select from the exact
+    records of a gate, one label position per uniform: each draw weighs the
+    labels at its position, in record order, by the summed probability of
+    the records that share the labels drawn before."""
+    chosen = ()
+    for u in uniforms:
+        weights = {}
+        for rec in records:
+            if rec.labels[:len(chosen)] == chosen:
+                label = rec.labels[len(chosen)]
+                weights[label] = weights.get(label, 0.0) + rec.probability
+        total, acc = sum(weights.values()), 0.0
+        for label, w in weights.items():
+            acc += w / total
+            if u < acc:
+                break
+        chosen += (label,)
+    return chosen
+
+
+class TestSampledLocalization:
+    """A sampled merging, alone or inside a cnot, returns the record the
+    exact per-n records select with the same generator's uniforms: the
+    controlled path's outcome and the entangler's outcome first, then the
+    localization path given them."""
+
+    @pytest.mark.parametrize("name", ["merging", "cnot"])
+    def test_draws_follow_the_exact_records(self, monkeypatch, name):
+        st = state_from_amplitudes(qubit_modes([("C", 0), ("T", 1)]),
+                                   random_qubit_vector(4, np.random.default_rng(9)))
+        if name == "merging":
+            st = gates.c_path(st, "C", "T", (1, 2), 1.0, THETA).outcomes[1].state
+            gate = lambda mode: gates.merging(
+                st, "T", (1, 2), 3, 1.0, THETA, ancilla=gates.FreshAncilla(),
+                companion_flip=ModeSelector(0, "V", "C"), mode=mode)
+        else:
+            gate = lambda mode: cnot(st, "C", "T", 1.0, THETA, mode=mode)
+        with monkeypatch.context() as m:
+            # every per-n record of the exact tree, none merged
+            m.setattr(detection, "_class_amplitude", lambda state, beam: None)
+            m.setattr(gates, "coalesce", lambda records, tol=1e-9: list(records))
+            exact = gate(None).outcomes
+        depth = len(exact[0].labels)
+        assert depth == (2 if name == "merging" else 3)
+        assert sum(r.probability for r in exact) == pytest.approx(1.0, abs=1e-9)
+        drawn = set()
+        for seed in range(20):
+            uniforms = np.random.default_rng(seed).random(depth)
+            [rec] = gate(gates.SampleMode(np.random.default_rng(seed))).outcomes
+            want = drawn_labels(exact, uniforms)
+            assert rec.labels == want
+            match = next(r for r in exact if r.labels == want)
+            assert fidelity(rec.state, match.state) == pytest.approx(1.0, abs=1e-9)
+            drawn.add(want[-1])
+        # the draws reach more than one localization path
+        assert len(drawn) > 1
 
 
 # -- QND readout: a heralded failure ends its chain -----------------------------------

@@ -13,6 +13,7 @@ from qubusim.gates import (
     QndMode,
     SampleMode,
     c_path,
+    cnot,
     merging,
 )
 from qubusim.elements import ModeSelector
@@ -213,6 +214,26 @@ class TestMerging:
         for rec in good:
             ideal = merging_ideal(vec, rec.ancilla)
             assert fidelity(ideal, rec.state) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("make_mode", [lambda: SampleMode(None),
+                                       lambda: QndMode(None), lambda: "exact"],
+                         ids=["sample-without-rng", "qnd-without-detector",
+                              "string"])
+@pytest.mark.parametrize("gate", ["c_path", "merging", "cnot"])
+def test_invalid_modes_are_precondition_violations(gate, make_mode):
+    run = {
+        "c_path": lambda mode: c_path(two_photon_input([1, 0, 0, 0]), "C", "T",
+                                      (1, 2), ALPHA, THETA, mode=mode),
+        "merging": lambda mode: merging(
+            merging_input([1, 0, 0, 0]), "P2", (2, 3), 4, ALPHA, THETA,
+            ancilla=FreshAncilla("A", 1),
+            companion_flip=ModeSelector(1, "V", "P1"), mode=mode),
+        "cnot": lambda mode: cnot(two_photon_input([1, 0, 0, 0]), "C", "T",
+                                  ALPHA, THETA, mode=mode),
+    }[gate]
+    with pytest.raises(PreconditionViolation):
+        run(make_mode())
 
 
 class TestDoubleControlledCoupling:
