@@ -240,16 +240,14 @@ def _fock(state, a, step):
 
 
 def _qnd(state, a, step):
-    det, tail = step.program.detector, step.program.tail
+    det, rng = step.program.detector, step.mode.rng
     if det is None:
         raise ValidationError("qnd instruction needs run.detector")
-    if step.mode.rng is not None:
-        oc, post = detection.qnd_detect(state, a["beam"], det, mode="sample",
-                                        rng=step.mode.rng, tail=tail)
-        outcomes = [(oc, 1.0, post)]
+    read = detection.qnd_detect(state, a["beam"], det, rng=rng, tail=step.program.tail)
+    if rng is not None:
+        outcomes = [(read[0], 1.0, read[1])]
     else:
-        outcomes = [(oc, oc.probability, post) for oc, post in detection.qnd_detect(
-            state, a["beam"], det, tail=tail) if post is not None]
+        outcomes = [(oc, oc.probability, post) for oc, post in read if post is not None]
     return [(oc.tag if oc.k is None else f"{oc.tag}:{oc.k}", p, post)
             for oc, p, post in outcomes]
 

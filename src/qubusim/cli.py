@@ -25,7 +25,7 @@ from . import circuits
 from .detection import DetectorParams, detection_error_eq11, detection_error_exact
 from .errors import ParseError, SimulatorError, ValidationError
 from .gates import ResourceTrace, cnot, cz, fredkin, multi_toffoli, synth_two_qubit, toffoli
-from .oracle import equivalence_report
+from .oracle import MAX_CUTOFF, equivalence_report
 from .state import product_state
 from .verify import (
     extract_process_matrix,
@@ -138,25 +138,38 @@ def _cmd_verify_gate(args) -> int:
     return 0 if residual <= GATE_TOL else 1
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least `low`."""
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer from `low` to `high`."""
     def integer(text: str) -> int:  # argparse reports "invalid integer value"
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
+
+
+def _number(text: str):
+    """`text` as a float, or the text itself where it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite number, as in a circuit document."""
+    value = _number(text)
+    if not circuits._NUMBER.ok(value):
+        raise argparse.ArgumentTypeError(f"must be {circuits._NUMBER.what}, got {text!r}")
+    return value
 
 
 def _floats(args, option: str) -> list[float]:
     """The comma-separated items of `--option`, each a finite number as in
     a circuit document; a bad item is a parse error naming the option."""
-    def number(item: str):
-        try:
-            return float(item)
-        except ValueError:
-            return item
-    return [circuits._NUMBER.parse(number(x), option, "command line")
+    return [circuits._NUMBER.parse(_number(x), option, "command line")
             for x in getattr(args, option).split(",") if x.strip()]
 
 
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the structured report (JSON) here")
     p.add_argument("--mode", choices=["exact", "sample"])
     p.add_argument("--seed", type=int, help="64-bit sampling seed")
-    p.add_argument("--shots", type=_int_at_least(1))
+    p.add_argument("--shots", type=_int_in(1))
     p.add_argument("--tail", type=float, help="Poisson tail cutoff for enumeration")
     p.add_argument("--cutoff", type=int,
                    help="hard Fock cutoff for measure_fock instructions")
@@ -249,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-gate", help="process matrix of a built-in gate")
     p.add_argument("gate")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--alpha", type=_finite, default=2.0)
+    p.add_argument("--theta", type=_finite, default=0.5)
     p.add_argument("--out", help="write the matrix as CSV here")
     p.set_defaults(fn=_cmd_verify_gate)
 
@@ -272,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resources", help="resource report of a built-in gate")
     p.add_argument("gate")
-    p.add_argument("--qubits", type=_int_at_least(3),
+    p.add_argument("--qubits", type=_int_in(3),
                    help="total qubit count for multi_toffoli (controls + target)")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--alpha", type=_finite, default=2.0)
+    p.add_argument("--theta", type=_finite, default=0.5)
     p.set_defaults(fn=_cmd_resources)
 
     p = sub.add_parser("oracle-check", help="truncated-Fock equivalence suite")
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--cutoff", type=int, default=40)
+    p.add_argument("--alpha", type=_finite, default=1.5)
+    p.add_argument("--theta", type=_finite, default=0.5)
+    p.add_argument("--cutoff", type=_int_in(1, MAX_CUTOFF), default=40)
     p.set_defaults(fn=_cmd_oracle_check)
     return ap
 

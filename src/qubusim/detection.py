@@ -51,7 +51,7 @@ from .errors import (
     CutoffTooSmall,
     PreconditionViolation,
 )
-from .state import HybridState, coherent_overlap
+from .state import HybridState
 
 VACUUM = "vacuum"
 PEAK = "peak"
@@ -135,15 +135,13 @@ def _fock_amp(beta: complex, n: int) -> complex:
 def _fock_collapse(state: HybridState, beam: int, n: int,
                    vacuum_pointer: bool, zero_tol: float = 1e-9):
     """Unnormalized post-state for outcome n plus its (honest) probability."""
-    projected = state.remove_beam_weighted(
-        beam, lambda br: _fock_amp(br.qubus[beam], n))
+    projected = state.remove_beam_weighted(beam, lambda z: _fock_amp(z, n))
     prob = projected.inner(projected).real
     post = projected
     if vacuum_pointer and n == 0 and any(
-            abs(br.qubus[beam]) <= zero_tol for br in state.branches):
+            abs(z) <= zero_tol for z in state.beam_column(beam)):
         post = state.remove_beam_weighted(
-            beam, lambda br: _fock_amp(br.qubus[beam], 0)
-            if abs(br.qubus[beam]) <= zero_tol else 0j)
+            beam, lambda z: _fock_amp(z, 0) if abs(z) <= zero_tol else 0j)
     return post, prob
 
 
@@ -154,7 +152,7 @@ _MAX_MEAN = 1e6
 def _beam_means(state: HybridState, beam: int) -> set[float]:
     """The mean photon numbers of one beam over the branches; a beam above
     `_MAX_MEAN` photons, or not finite, raises PreconditionViolation."""
-    amps = {abs(br.qubus[beam]) for br in state.branches}
+    amps = {abs(z) for z in state.beam_column(beam)}
     if not all(a * a <= _MAX_MEAN for a in amps):
         raise PreconditionViolation(
             f"beam {beam} holds more than {_MAX_MEAN:g} photons on average")
@@ -166,7 +164,7 @@ def _normalized_post(post: HybridState, norm2: float) -> HybridState:
     to norm 1 and canonicalized."""
     if norm2 < sys.float_info.min:
         # the squared amplitudes underflow: rescale before taking the norm
-        post = post.scaled(1 / max(abs(br.amp) for br in post.branches))
+        post = post.scaled(1 / max(map(abs, post.amplitudes())))
     return post.scaled(1 / post.norm()).canonicalize(1e-12)
 
 
@@ -189,30 +187,16 @@ def _fock_density(state: HybridState, beam: int, n_max: int,
 
     Returns the distinct beam amplitudes a in first-seen order, their Fock
     vectors F_a as the rows of one array, and
-    P(n) = Re Σ_ab M[a, b]·F_a(n)·F̄_b(n), where M[a, b] sums the
-    rest-of-state overlaps of the branch pairs at (a, b).
-    Cross terms between branches that are not orthogonal in the photon or
-    other-beam sector are therefore kept.
+    P(n) = Re Σ_ab M[a, b]·F_a(n)·F̄_b(n), where M is the beam's reduced
+    state (`HybridState.beam_coherences`).  Cross terms between branches
+    that are not orthogonal in the photon or other-beam sector are
+    therefore kept.
     """
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    index = {}
-    for br in state.branches:
-        index.setdefault(br.qubus[beam], len(index))
-    fock = np.array([_fock_amps(a, log_fact) for a in index])
-    by_config = {}
-    for br in state.branches:
-        by_config.setdefault(br.config, []).append(br)
-    overlaps = np.zeros((len(index), len(index)), dtype=complex)
-    for group in by_config.values():
-        for bi in group:
-            for bj in group:
-                ov = bj.amp.conjugate() * bi.amp
-                for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
-                    if c != beam:
-                        ov *= coherent_overlap(qa, qb)
-                overlaps[index[bi.qubus[beam]], index[bj.qubus[beam]]] += ov
+    amps, overlaps = state.beam_coherences(beam)
+    fock = np.array([_fock_amps(a, log_fact) for a in amps])
     density = np.einsum("an,ab,bn->n", fock, overlaps, fock.conj()).real
-    return list(index), fock, density
+    return amps, fock, density
 
 
 def _readout_range(state: HybridState, beam: int, cutoff: Optional[int],
@@ -220,7 +204,6 @@ def _readout_range(state: HybridState, beam: int, cutoff: Optional[int],
     """The largest n a readout of `beam` covers: the Poisson cutoff of its
     branch means, or `cutoff` when given.  Raises CutoffTooSmall when
     `cutoff` leaves a Poisson tail above 1e-9."""
-    state.require_beam(beam)
     means = _beam_means(state, beam)
     needed = max((poisson_cutoff(m, tail) for m in means), default=0)
     if cutoff is None:
@@ -240,8 +223,7 @@ def _class_amplitude(state: HybridState, beam: int) -> Optional[complex]:
     """z when every amplitude on `beam` is 0, +z or −z (within 1e-12), else
     None (also when every amplitude is 0)."""
     z = None
-    for br in state.branches:
-        q = br.qubus[beam]
+    for q in state.beam_column(beam):
         if abs(q) <= _CLASS_TOL:
             continue
         if z is None:
@@ -394,8 +376,7 @@ class _QndAnalysis:
 
     def weighted_post(self, state: HybridState, beam: int, o: int) -> HybridState:
         """The beam removed and each branch scaled by its response root."""
-        return state.remove_beam_weighted(
-            beam, lambda br: self.roots[br.qubus[beam]][o])
+        return state.remove_beam_weighted(beam, lambda z: self.roots[z][o])
 
 
 def _qnd_analysis(state: HybridState, beam: int, det: DetectorParams,
@@ -510,7 +491,6 @@ def fock_outcome_classes(state: HybridState, beam: int, tail: float = 1e-12,
     multiplicity) that `coalesce` makes of their `enumerate_fock_outcomes`
     records, in increasing n.  None for a beam with any other amplitudes.
     """
-    state.require_beam(beam)
     if _class_amplitude(state, beam) is None:
         return None
     return [(n, p, post, m) for n, _, p, post, m in read_beam(
@@ -537,16 +517,17 @@ def qnd_gate_outcomes(state: HybridState, beam: int, det: DetectorParams,
                                          tail=tail, vacuum_pointer=True)]
 
 
-def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
-               mode: str = "enumerate", rng: Optional[np.random.Generator] = None,
+def qnd_detect(state: HybridState, beam: int, det: DetectorParams, *,
+               rng: Optional[np.random.Generator] = None,
                k_max: Optional[int] = None, tail: float = 1e-12):
     """Indirect photon-number readout of one beam.
 
     Returns a list of (PovmOutcome, post-state) pairs covering the full
-    outcome alphabet {vacuum, peak k, ambiguous} (probabilities sum to 1), or
-    a single sampled pair for mode="sample".  The measured beam is removed;
-    each branch is reweighted by the root of its POVM response.  An outcome
-    of probability 1e-300 or less has no post-state (None).
+    outcome alphabet {vacuum, peak k, ambiguous} (probabilities sum to 1),
+    or, with `rng`, the one pair a `draw_index` over them picks.  The
+    measured beam is removed; each branch is reweighted by the root of its
+    POVM response.  An outcome of probability 1e-300 or less has no
+    post-state (None).
     """
     analysis = _qnd_analysis(state, beam, det, k_max, tail)
     probs = [max(p, 0.0) for p in analysis.probs]
@@ -557,13 +538,9 @@ def qnd_detect(state: HybridState, beam: int, det: DetectorParams,
                 if probs[i] > _QND_FLOOR else None)
         return PovmOutcome(tag=tag, k=k, probability=probs[i]), post
 
-    if mode == "enumerate":
-        return [result(i) for i in range(len(probs))]
-    if mode == "sample":
-        if rng is None:
-            raise PreconditionViolation("sampling requires a random generator")
+    if rng is not None:
         return result(draw_index(probs, rng))
-    raise PreconditionViolation(f"unknown mode {mode!r}")
+    return [result(i) for i in range(len(probs))]
 
 
 # -- readout of a coherent signal ---------------------------------------------

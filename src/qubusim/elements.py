@@ -11,18 +11,20 @@ Conventions fixed here and used everywhere else:
   selected photon mode is occupied has its beam amplitude rotated by e^{iθ}
   (no self-phase modulation, no decoherence).
 
-All elements are pure functions preserving the norm.
+All elements are pure functions preserving the norm.  The photon-side
+elements are image tables over (path, polarization) modes, which
+`HybridState.map_modes` applies; the beam-side ones rewrite beam columns.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .errors import MultiPhotonCollision, PreconditionViolation, UnknownPath
-from .state import Branch, HybridState, H, V, parse_pol
+from .errors import PreconditionViolation
+from .state import HybridState, H, V, parse_pol
 
 _SQ2 = math.sqrt(2)
 
@@ -34,85 +36,42 @@ class ModeSelector:
     """Selects at most one occupied photon mode per branch.
 
     `photon` restricts the match to one photon id (None: any photon);
-    `pol` is "H", "V" or ANY.
+    `pol` is "H", "V" (or the index 0, 1) or ANY.  It is parsed once, when
+    the selector is built, into `pol_index` (None for ANY), which
+    `HybridState.occupied` takes.
     """
 
     path: int
     pol: Union[int, str] = ANY
     photon: Optional[str] = None
+    pol_index: Optional[int] = field(init=False, repr=False, compare=False)
 
-    def _pol_index(self):
-        return None if self.pol == ANY else parse_pol(self.pol)
-
-    def matches(self, state: HybridState, branch: Branch) -> bool:
-        pol = self._pol_index()
-        hits = 0
-        for pid, mode in zip(state.photons, branch.config):
-            if mode is None or mode[0] != self.path:
-                continue
-            if self.photon is not None and pid != self.photon:
-                continue
-            if pol is not None and mode[1] != pol:
-                continue
-            hits += 1
-        if hits > 1:
-            raise MultiPhotonCollision(
-                f"selector {self} matches {hits} photons in one branch")
-        return hits == 1
+    def __post_init__(self):
+        object.__setattr__(self, "pol_index",
+                           None if self.pol == ANY else parse_pol(self.pol))
 
 
 def photon_bs(state: HybridState, path_a: int, path_b: int) -> HybridState:
     """50:50 beam splitter between two spatial paths."""
     state.require_path(path_a)
     state.require_path(path_b)
-    out = []
-    for br in state.branches:
-        involved = [i for i, m in enumerate(br.config)
-                    if m is not None and m[0] in (path_a, path_b)]
-        if len(involved) > 1:
-            raise MultiPhotonCollision(
-                f"two photons meet at the beam splitter on paths {path_a},{path_b}")
-        if not involved:
-            out.append(br)
-            continue
-        idx = involved[0]
-        path, pol = br.config[idx]
-        sign = 1.0 if path == path_a else -1.0
-        for target, coef in (((path_a, pol), 1 / _SQ2), ((path_b, pol), sign / _SQ2)):
-            cfg = list(br.config)
-            cfg[idx] = target
-            out.append(Branch(br.amp * coef, tuple(cfg), br.qubus))
-    return replace(state, branches=tuple(out)).canonicalize(1e-12)
+    h = 1 / _SQ2
+    images = {}
+    for pol in (H, V):
+        a, b = (path_a, pol), (path_b, pol)
+        images[b] = ((a, h), (b, -h))
+        images[a] = ((a, h), (b, h))  # set last: one path twice keeps sign +1
+    return state.map_modes(images, exclusive=True)
 
 
 def _route(state: HybridState, transmit: Mapping[int, int], reflect: Mapping[int, int],
-           coeffs) -> HybridState:
+           images) -> HybridState:
+    """Send each photon on an input path to `images(path, pol)`, its
+    (mode, coefficient) terms, or None where it has no route."""
     inputs = set(transmit) | set(reflect)
     for p in inputs | set(transmit.values()) | set(reflect.values()):
         state.require_path(p)
-    out = []
-    for br in state.branches:
-        terms = [(1 + 0j, br.config)]
-        for idx, mode in enumerate(br.config):
-            if mode is None or mode[0] not in inputs:
-                continue
-            path, pol = mode
-            images = coeffs(path, pol, transmit, reflect)
-            new_terms = []
-            for amp, cfg in terms:
-                for target, coef in images:
-                    if coef == 0:
-                        continue
-                    c = list(cfg)
-                    c[idx] = target
-                    new_terms.append((amp * coef, tuple(c)))
-            terms = new_terms
-        for amp, cfg in terms:
-            occupied = [m for m in cfg if m is not None]
-            if len(set(occupied)) != len(occupied):
-                raise MultiPhotonCollision("two photons routed onto one mode")
-            out.append(Branch(br.amp * amp, cfg, br.qubus))
-    return replace(state, branches=tuple(out)).canonicalize(1e-12)
+    return state.map_modes({(p, pol): images(p, pol) for p in inputs for pol in (H, V)})
 
 
 def pbs_hv(state: HybridState, transmit: Mapping[int, int],
@@ -122,13 +81,11 @@ def pbs_hv(state: HybridState, transmit: Mapping[int, int],
     Both maps are keyed by input path; an occupied input without a route for
     its polarization is an error.
     """
-    def coeffs(path, pol, transmit, reflect):
+    def images(path, pol):
         table = transmit if pol == H else reflect
-        if path not in table:
-            raise UnknownPath(f"no route for polarization on input path {path}")
-        return (((table[path], pol), 1 + 0j),)
+        return (((table[path], pol), 1 + 0j),) if path in table else None
 
-    return _route(state, transmit, reflect, coeffs)
+    return _route(state, transmit, reflect, images)
 
 
 def pbs_diag(state: HybridState, transmit: Mapping[int, int],
@@ -138,69 +95,46 @@ def pbs_diag(state: HybridState, transmit: Mapping[int, int],
     Internally rotates H/V into the ± basis, routes, and rotates back, so the
     state stays expressed over H/V modes.
     """
-    def coeffs(path, pol, transmit, reflect):
+    def images(path, pol):
         if path not in transmit or path not in reflect:
-            raise UnknownPath(f"no ± routes for input path {path}")
+            return None
         t, r = transmit[path], reflect[path]
         s = 1.0 if pol == H else -1.0
         # |H/V⟩ = (|+⟩ ± |−⟩)/√2; route and expand back to H/V.
-        return (((t, H), 0.5), ((t, V), 0.5), ((r, H), s * 0.5), ((r, V), -s * 0.5))
+        return (((t, H), 0.5 + 0j), ((t, V), 0.5 + 0j),
+                ((r, H), complex(s * 0.5)), ((r, V), complex(-s * 0.5)))
 
-    return _route(state, transmit, reflect, coeffs)
+    return _route(state, transmit, reflect, images)
 
 
 def phase_shift(state: HybridState, selector: ModeSelector, phi: float) -> HybridState:
     """Multiply branches whose selected mode is occupied by e^{iφ}."""
-    state.require_path(selector.path)
-    factor = cmath.exp(1j * phi)
-    out = tuple(
-        Branch(br.amp * factor, br.config, br.qubus)
-        if selector.matches(state, br) else br
-        for br in state.branches)
-    return replace(state, branches=out)
+    return state.scaled(cmath.exp(1j * phi), state.occupied(
+        selector.path, selector.pol_index, selector.photon))
 
 
 def qubus_phase(state: HybridState, beam: int, phi: float) -> HybridState:
     """Unconditional phase-space rotation α → α·e^{iφ} of one beam."""
-    state.require_beam(beam)
     factor = cmath.exp(1j * phi)
-    out = tuple(
-        Branch(br.amp, br.config,
-               br.qubus[:beam] + (br.qubus[beam] * factor,) + br.qubus[beam + 1:])
-        for br in state.branches)
-    return replace(state, branches=out)
+    return state.with_beams({beam: [z * factor for z in state.beam_column(beam)]})
 
 
 def qubus_bs(state: HybridState, beam_i: int, beam_j: int) -> HybridState:
     """50:50 BS on two qubus beams: (αi, αj) → ((αi−αj)/√2, (αi+αj)/√2)."""
-    state.require_beam(beam_i)
-    state.require_beam(beam_j)
+    pairs = list(zip(state.beam_column(beam_i), state.beam_column(beam_j)))
     if beam_i == beam_j:
         raise PreconditionViolation("qubus BS needs two distinct beams")
-    out = []
-    for br in state.branches:
-        q = list(br.qubus)
-        ai, aj = q[beam_i], q[beam_j]
-        q[beam_i] = (ai - aj) / _SQ2
-        q[beam_j] = (ai + aj) / _SQ2
-        out.append(Branch(br.amp, br.config, tuple(q)))
-    return replace(state, branches=tuple(out))
+    return state.with_beams({beam_i: [(ai - aj) / _SQ2 for ai, aj in pairs],
+                             beam_j: [(ai + aj) / _SQ2 for ai, aj in pairs]})
 
 
 def xpm(state: HybridState, selector: ModeSelector, beam: int, theta: float) -> HybridState:
     """Cross-phase modulation: rotate one beam by e^{iθ} in branches whose
     selected photon mode is occupied."""
-    state.require_beam(beam)
-    state.require_path(selector.path)
+    column = state.beam_column(beam)
+    hits = state.occupied(selector.path, selector.pol_index, selector.photon)
     factor = cmath.exp(1j * theta)
-    out = []
-    for br in state.branches:
-        if selector.matches(state, br):
-            q = br.qubus[:beam] + (br.qubus[beam] * factor,) + br.qubus[beam + 1:]
-            out.append(Branch(br.amp, br.config, q))
-        else:
-            out.append(br)
-    return replace(state, branches=tuple(out))
+    return state.with_beams({beam: [z * factor if hit else z for z, hit in zip(column, hits)]})
 
 
 # -- declarative element instructions (shared by the circuit front end and

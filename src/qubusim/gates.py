@@ -97,7 +97,7 @@ from .kak import (
     controlled_diag_pair,
     kak_decompose,
 )
-from .state import Branch, HybridState
+from .state import HybridState
 
 
 # -- measurement modes --------------------------------------------------------
@@ -295,11 +295,12 @@ def _phase_canonical(state: HybridState) -> HybridState:
     canonical order, within a relative 1e-9 of the largest |amp|, so that a
     tie between branches is not settled by rounding."""
     st = state.canonicalize(1e-12)
-    if not st.branches:
+    amps = st.amplitudes()
+    if not amps:
         return st
-    top = max(abs(b.amp) for b in st.branches)
-    ref = next(b for b in st.branches if abs(b.amp) >= top * (1 - 1e-9))
-    phase = ref.amp / abs(ref.amp)
+    top = max(map(abs, amps))
+    ref = next(a for a in amps if abs(a) >= top * (1 - 1e-9))
+    phase = ref / abs(ref)
     return st.scaled(phase.conjugate())
 
 
@@ -476,12 +477,9 @@ def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],
     A detector adds a no-click record and per-path ambiguous records, whose
     path is None: they get no correction.  With `mode.rng` one is drawn.
     """
-    idx = state.photon_index(photon)
     clean = []
     for t in paths:
-        sub = replace(state, branches=tuple(
-            br for br in state.branches
-            if br.config[idx] is not None and br.config[idx][0] == t))
+        sub = state.select(state.occupied(t, photon=photon))
         p = sub.inner(sub).real
         if p > 1e-300:
             clean.append((t, p, sub.scaled(1 / math.sqrt(p)).canonicalize(1e-12)))
@@ -529,12 +527,8 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
     trace = trace if trace is not None else ResourceTrace()
     p, q = source_paths
     state = state.add_paths([p, q, dest_path])
-    idx = state.photon_index(photon)
-    for br in state.branches:
-        m = br.config[idx]
-        if m is None or m[0] not in (p, q):
-            raise PreconditionViolation(
-                "photon to merge must occupy one of the source paths")
+    if None in state.photon_modes(photon) or not state.paths_of(photon) <= {p, q}:
+        raise PreconditionViolation("photon to merge must occupy one of the source paths")
     for path in (p, q):
         extra = state.occupants(path) - {photon}
         if extra:
@@ -849,19 +843,6 @@ def synth_two_qubit(state: HybridState, control: str, target: str,
 
 # -- multi-qubit gates -----------------------------------------------------------
 
-def _relabel_if_on_path(state: HybridState, a: str, b: str, trigger: int) -> HybridState:
-    """Swap the labels of photons a and b in branches where a sits on
-    `trigger` (identical-particle bookkeeping after a path exchange)."""
-    ia, ib = state.photon_index(a), state.photon_index(b)
-    out = []
-    for br in state.branches:
-        cfg = list(br.config)
-        if cfg[ia] is not None and cfg[ia][0] == trigger:
-            cfg[ia], cfg[ib] = cfg[ib], cfg[ia]
-        out.append(Branch(br.amp, tuple(cfg), br.qubus))
-    return replace(state, branches=tuple(out))
-
-
 def fredkin(state: HybridState, control: str, target1: str, target2: str,
             alpha: float, theta: float, *, mode: Optional[MeasureMode] = None,
             trace: Optional[ResourceTrace] = None,
@@ -886,7 +867,10 @@ def fredkin(state: HybridState, control: str, target1: str, target2: str,
         recs = coalesce(chain(recs, lambda rec, photon=photon, pair=pair: c_path(
             rec.state, control, photon, pair, alpha, theta, mode=mode)))
     recs = map_records(recs, lambda s: s.swap_paths(o1, o2))
-    recs = map_records(recs, lambda s: _relabel_if_on_path(s, target1, target2, o2))
+    # identical-photon bookkeeping: where target1 now sits on o2, the two
+    # targets swap labels
+    recs = map_records(recs, lambda s: s.swap_photon_labels(
+        target1, target2, s.occupied(o2, photon=target1)))
 
     for photon, pair, seat, home in ((target1, (h1, o1), seat1, h1),
                                      (target2, (h2, o2), seat2, h2)):

@@ -40,6 +40,10 @@ from .state import Config, H, HybridState, V, parse_pol
 
 _SQ2 = math.sqrt(2)
 
+# the largest cutoff whose dense two-mode beam splitter, (cutoff+1)^4
+# complex numbers, fits in 1 GiB
+MAX_CUTOFF = int((2 ** 30 / 16) ** 0.25) - 1
+
 
 @dataclass
 class FockVector:

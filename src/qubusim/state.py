@@ -19,18 +19,28 @@ count stays small.
 States are immutable values; every operation returns a new state.  They are
 therefore safe to share between threads, and outcome enumerations or
 parameter sweeps over them may run concurrently.
+
+Only this module builds branches, ``Branch(amp, config, qubus)``.  Photons
+move by mode tables (`map_modes`, which raises the collision errors, and
+`swap_paths`); `occupied` flags branches for `scaled`, `swap_photon_labels`
+and `select`; beams are read and written as columns (`beam_column`,
+`with_beams`); `beam_coherences` and `inner` walk the same branch pairs.
+Elsewhere only serializers and `gates.coalesce`'s comparison read `branches`.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    MultiPhotonCollision,
     NonUnitaryMatrix,
     PreconditionViolation,
     ShapeMismatch,
@@ -71,11 +81,11 @@ def parse_pol(pol: Union[int, str]) -> int:
 
 
 def pol_amplitudes(spec) -> tuple[complex, complex]:
-    """(H, V) amplitude pair from a label or mapping.
+    """(H, V) amplitude pair from a label, a mapping or a pair.
 
     Accepts "H", "V", "+", "-" (diagonal inputs are normalized to H/V
-    amplitudes here; the diagonal basis never appears internally) or a
-    mapping {"H": z, "V": z}.
+    amplitudes here; the diagonal basis never appears internally), a
+    mapping {"H": z, "V": z} or any sequence of two amplitudes (H, V).
     """
     if isinstance(spec, str):
         s = spec.strip().upper()
@@ -85,10 +95,11 @@ def pol_amplitudes(spec) -> tuple[complex, complex]:
         if s in table:
             return tuple(complex(x) for x in table[s])
         raise PreconditionViolation(f"unknown polarization state {spec!r}")
-    if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        amps = (complex(spec[0]), complex(spec[1]))
-    else:
-        amps = (complex(spec.get("H", 0)), complex(spec.get("V", 0)))
+    if isinstance(spec, Mapping):
+        spec = (spec.get("H", 0), spec.get("V", 0))
+    if len(spec) != 2:
+        raise PreconditionViolation(f"not a polarization state: {spec!r}")
+    amps = (complex(spec[0]), complex(spec[1]))
     if abs(amps[0]) == 0 and abs(amps[1]) == 0:
         raise PreconditionViolation("polarization state has no amplitude")
     return amps
@@ -100,8 +111,12 @@ class Branch(NamedTuple):
     qubus: tuple[complex, ...]
 
 
+# _branch((amp, config, qubus)) builds a Branch without the Python-level Branch.__new__
+_branch = functools.partial(tuple.__new__, Branch)
+
+
 def _config_key(config: Config):
-    return tuple((-1, -1) if m is None else m for m in config)
+    return config if None not in config else tuple((-1, -1) if m is None else m for m in config)
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,10 @@ class HybridState:
     paths: frozenset[int]
     n_beams: int
     branches: tuple[Branch, ...]
+
+    def _with(self, branches: Iterable[Branch]) -> "HybridState":
+        """This registry over other branches (faster than `replace`)."""
+        return HybridState(self.photons, self.paths, self.n_beams, tuple(branches))
 
     # -- registry helpers -------------------------------------------------
 
@@ -152,17 +171,21 @@ class HybridState:
         orthogonal; coherent beam factors overlap via `coherent_overlap`."""
         if self.photons != other.photons or self.n_beams != other.n_beams:
             raise ShapeMismatch("states are defined over different registries")
+        total = 0j
+        for bra, ket in self._pairs(other):
+            ov = 1 + 0j
+            for qa, qb in zip(bra.qubus, ket.qubus):
+                ov *= coherent_overlap(qa, qb)
+            total += bra.amp.conjugate() * ket.amp * ov
+        return total
+
+    def _pairs(self, other: "HybridState") -> list[tuple[Branch, Branch]]:
+        """The (self, other) branch pairs of one config, in self's order."""
         by_config: dict[Config, list[Branch]] = {}
         for br in other.branches:
             by_config.setdefault(br.config, []).append(br)
-        total = 0j
-        for bra in self.branches:
-            for ket in by_config.get(bra.config, ()):
-                ov = 1 + 0j
-                for qa, qb in zip(bra.qubus, ket.qubus):
-                    ov *= coherent_overlap(qa, qb)
-                total += bra.amp.conjugate() * ket.amp * ov
-        return total
+        return [(bra, ket) for bra in self.branches
+                for ket in by_config.get(bra.config, ())]
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self).real, 0.0))
@@ -173,9 +196,15 @@ class HybridState:
             raise PreconditionViolation("cannot normalize a zero state")
         return self.scaled(1 / n)
 
-    def scaled(self, factor: complex) -> "HybridState":
-        return replace(self, branches=tuple(
-            Branch(br.amp * factor, br.config, br.qubus) for br in self.branches))
+    def scaled(self, factor: complex, where: Optional[Sequence[bool]] = None) -> "HybridState":
+        """Every branch amplitude times `factor`, or only those of the
+        branches flagged in `where` (see `occupied`)."""
+        return self._with(
+            _branch((br.amp * factor, br.config, br.qubus)) if w else br
+            for br, w in zip(self.branches, repeat(True) if where is None else where))
+
+    def amplitudes(self) -> tuple[complex, ...]:
+        return tuple(br.amp for br in self.branches)
 
     # -- canonical form ----------------------------------------------------
 
@@ -198,12 +227,46 @@ class HybridState:
             if not merged:
                 index.setdefault(br.config, []).append(len(groups))
                 groups.append([br.amp, br.config, br.qubus])
-        kept = tuple(Branch(a, c, q) for a, c, q in groups if abs(a) > tol)
+        kept = tuple(_branch((a, c, q)) for a, c, q in groups if abs(a) > tol)
         kept = tuple(sorted(kept, key=lambda b: (_config_key(b.config),
                                                  tuple((q.real, q.imag) for q in b.qubus))))
-        return replace(self, branches=kept)
+        return self._with(kept)
 
     # -- photon-side operations ---------------------------------------------
+
+    def map_modes(self, images: Mapping[Mode, Optional[Sequence[tuple[Mode, complex]]]],
+                  photon: Optional[str] = None, exclusive: bool = False) -> "HybridState":
+        """Send each photon (only `photon`, if given) on a mode of `images`
+        to the sum of that mode's nonzero (mode, coefficient) images, and
+        canonicalize.  A photon on a mode mapped to None raises UnknownPath;
+        two photons on one mode raise MultiPhotonCollision, as, with
+        `exclusive`, do two photons on modes of the table."""
+        idxs = range(len(self.photons)) if photon is None else (self.photon_index(photon),)
+        out = []
+        for br in self.branches:
+            terms = [(None, br.config)]
+            moved = []
+            for i in idxs:
+                mode = br.config[i]
+                if mode not in images:
+                    continue
+                if images[mode] is None:
+                    raise UnknownPath(f"no route for a photon on mode {mode}")
+                if exclusive and moved:
+                    raise MultiPhotonCollision(
+                        f"two photons meet on the modes {sorted(images)}")
+                moved.append(i)
+                terms = [(c if a is None else a * c, t[:i] + (m,) + t[i + 1:])
+                         for a, t in terms for m, c in images[mode] if c]
+            if not moved:
+                out.append(br)
+                continue
+            for a, t in terms:
+                for i in moved:
+                    if not exclusive and t.count(t[i]) > 1:
+                        raise MultiPhotonCollision("two photons routed onto one mode")
+                out.append(_branch((br.amp * a, t, br.qubus)))
+        return self._with(out).canonicalize(_OP_TOL)
 
     def apply_photon_unitary(self, photon: str, mode_a, mode_b, matrix) -> "HybridState":
         """Apply a 2×2 unitary on two (path, polarization) modes of `photon`.
@@ -217,84 +280,60 @@ class HybridState:
         dev = np.abs(m.conj().T @ m - np.eye(2)).max()
         if dev > 1e-10:
             raise NonUnitaryMatrix(f"matrix deviates from unitarity by {dev:.3e}")
-        idx = self.photon_index(photon)
         ma = (mode_a[0], parse_pol(mode_a[1]))
         mb = (mode_b[0], parse_pol(mode_b[1]))
         self.require_path(ma[0])
         self.require_path(mb[0])
-        out: list[Branch] = []
-        for br in self.branches:
-            mode = br.config[idx]
-            if mode == ma:
-                col = (m[0, 0], m[1, 0])
-            elif mode == mb:
-                col = (m[0, 1], m[1, 1])
-            else:
-                out.append(br)
-                continue
-            for target, coef in zip((ma, mb), col):
-                if coef == 0:
-                    continue
-                cfg = list(br.config)
-                cfg[idx] = target
-                out.append(Branch(br.amp * coef, tuple(cfg), br.qubus))
-        return replace(self, branches=tuple(out)).canonicalize(_OP_TOL)
+        # mode_a's column last, so that it wins when the two modes coincide
+        images = {mb: ((ma, m[0, 1]), (mb, m[1, 1])),
+                  ma: ((ma, m[0, 0]), (mb, m[1, 0]))}
+        return self.map_modes(images, photon)
 
     def swap_paths(self, p: int, q: int) -> "HybridState":
         """Relabel all occupancies p↔q in every branch (involutive)."""
         self.require_path(p)
         self.require_path(q)
-        out = []
-        for br in self.branches:
-            cfg = []
-            for mode in br.config:
-                if mode is None:
-                    cfg.append(None)
-                elif mode[0] == p:
-                    cfg.append((q, mode[1]))
-                elif mode[0] == q:
-                    cfg.append((p, mode[1]))
-                else:
-                    cfg.append(mode)
-            out.append(Branch(br.amp, tuple(cfg), br.qubus))
-        return replace(self, branches=tuple(out))
+        relabel = {(a, pol): (b, pol) for a, b in ((q, p), (p, q)) for pol in (H, V)}.get
+        return self._with(_branch((br.amp, tuple(map(relabel, br.config, br.config)), br.qubus))
+                          for br in self.branches)
 
-    def swap_photon_labels(self, a: str, b: str) -> "HybridState":
+    def swap_photon_labels(self, a: str, b: str,
+                           where: Optional[Sequence[bool]] = None) -> "HybridState":
         """Exchange the mode assignments of photons `a` and `b` in every
-        branch.  For indistinguishable photons this is pure bookkeeping."""
+        branch, or in the branches flagged in `where`.  For
+        indistinguishable photons this is pure bookkeeping."""
         ia, ib = self.photon_index(a), self.photon_index(b)
         out = []
-        for br in self.branches:
-            cfg = list(br.config)
-            cfg[ia], cfg[ib] = cfg[ib], cfg[ia]
-            out.append(Branch(br.amp, tuple(cfg), br.qubus))
-        return replace(self, branches=tuple(out))
+        for br, w in zip(self.branches, repeat(True) if where is None else where):
+            if w:
+                cfg = list(br.config)
+                cfg[ia], cfg[ib] = cfg[ib], cfg[ia]
+                br = _branch((br.amp, tuple(cfg), br.qubus))
+            out.append(br)
+        return self._with(out)
 
     def add_photon(self, photon: str, path: int, pol_state) -> "HybridState":
         """Tensor a fresh photon in a pure polarization state onto the state."""
         if photon in self.photons:
             raise PreconditionViolation(f"photon {photon!r} already registered")
-        self.require_path(path)
-        for br in self.branches:
-            for mode in br.config:
-                if mode is not None and mode[0] == path:
-                    raise PreconditionViolation(f"path {path} is already occupied")
+        if self.occupants(path):
+            raise PreconditionViolation(f"path {path} is already occupied")
         amps = pol_amplitudes(pol_state)
         out = []
         for br in self.branches:
             for pol, amp in ((H, amps[0]), (V, amps[1])):
                 if amp == 0:
                     continue
-                out.append(Branch(br.amp * amp, br.config + ((path, pol),), br.qubus))
-        return replace(self, photons=self.photons + (photon,), branches=tuple(out))
+                out.append(_branch((br.amp * amp, br.config + ((path, pol),), br.qubus)))
+        return HybridState(self.photons + (photon,), self.paths, self.n_beams, tuple(out))
 
     # -- beam bookkeeping ----------------------------------------------------
 
     def attach_beams(self, amplitudes: Sequence[complex]) -> "HybridState":
         """Append fresh coherent beams with the given amplitudes to every branch."""
         amps = tuple(complex(a) for a in amplitudes)
-        out = tuple(Branch(br.amp, br.config, br.qubus + amps) for br in self.branches)
-        return replace(self, n_beams=self.n_beams + len(amps), branches=out)
+        out = tuple(_branch((br.amp, br.config, br.qubus + amps)) for br in self.branches)
+        return HybridState(self.photons, self.paths, self.n_beams + len(amps), out)
 
     def detach_beam(self, beam: int, tol: float = 1e-9) -> tuple["HybridState", complex]:
         """Drop a beam whose amplitude is uniform across branches.
@@ -303,34 +342,87 @@ class HybridState:
         if branches disagree by more than `tol` (the beam would then be
         entangled with the rest of the state).
         """
-        self.require_beam(beam)
-        ref = self.branches[0].qubus[beam] if self.branches else 0j
-        for br in self.branches:
-            if abs(br.qubus[beam] - ref) > tol:
-                raise PreconditionViolation(
-                    "beam is entangled with the state and cannot be detached")
+        column = self.beam_column(beam)
+        ref = column[0] if column else 0j
+        if any(abs(z - ref) > tol for z in column):
+            raise PreconditionViolation(
+                "beam is entangled with the state and cannot be detached")
         out = tuple(
-            Branch(br.amp, br.config, br.qubus[:beam] + br.qubus[beam + 1:])
+            _branch((br.amp, br.config, br.qubus[:beam] + br.qubus[beam + 1:]))
             for br in self.branches)
-        return replace(self, n_beams=self.n_beams - 1, branches=out), ref
+        return HybridState(self.photons, self.paths, self.n_beams - 1, out), ref
 
-    def remove_beam_weighted(self, beam: int, weights) -> "HybridState":
-        """Drop a beam, scaling each branch amplitude by weights(branch).
-
-        Used by measurement collapses; the weight function receives the
-        branch and returns a complex factor.
-        """
+    def remove_beam_weighted(self, beam: int,
+                             weight: Callable[[complex], complex]) -> "HybridState":
+        """Drop a beam, scaling each branch amplitude by weight(z), z being
+        the branch's amplitude on that beam; a branch of weight 0 is dropped.
+        Used by measurement collapses."""
         self.require_beam(beam)
         out = []
         for br in self.branches:
-            w = weights(br)
+            w = weight(br.qubus[beam])
             if w == 0:
                 continue
-            out.append(Branch(br.amp * w, br.config,
-                              br.qubus[:beam] + br.qubus[beam + 1:]))
-        return replace(self, n_beams=self.n_beams - 1, branches=tuple(out))
+            out.append(_branch((br.amp * w, br.config,
+                              br.qubus[:beam] + br.qubus[beam + 1:])))
+        return HybridState(self.photons, self.paths, self.n_beams - 1, tuple(out))
+
+    def beam_column(self, beam: int) -> tuple[complex, ...]:
+        """The amplitude of `beam` in each branch."""
+        self.require_beam(beam)
+        return tuple(br.qubus[beam] for br in self.branches)
+
+    def with_beams(self, columns: Mapping[int, Sequence[complex]]) -> "HybridState":
+        """The state with each beam b of `columns` set to the amplitudes
+        columns[b], one per branch."""
+        for beam in columns:
+            self.require_beam(beam)
+        if not (self.branches and columns):
+            return self
+        amps, configs, qubus = zip(*self.branches)
+        beams = list(zip(*qubus))
+        for beam, column in columns.items():
+            beams[beam] = column
+        return self._with(map(_branch, zip(amps, configs, zip(*beams))))
+
+    def beam_coherences(self, beam: int) -> tuple[list[complex], np.ndarray]:
+        """One beam's reduced state Σ_ab M[a, b]·|a⟩⟨b|: its distinct
+        amplitudes (first seen first) and M, where M[a, b] sums
+        conj(amp_j)·amp_i·⟨other beams of j|of i⟩ over the same-config
+        branch pairs (i, j) at beam amplitudes (a, b)."""
+        self.require_beam(beam)
+        index: dict[complex, int] = {}
+        for br in self.branches:
+            index.setdefault(br.qubus[beam], len(index))
+        overlaps = np.zeros((len(index), len(index)), dtype=complex)
+        for bi, bj in self._pairs(self):
+            ov = bj.amp.conjugate() * bi.amp
+            for c, (qa, qb) in enumerate(zip(bj.qubus, bi.qubus)):
+                if c != beam:
+                    ov *= coherent_overlap(qa, qb)
+            overlaps[index[bi.qubus[beam]], index[bj.qubus[beam]]] += ov
+        return list(index), overlaps
 
     # -- queries ---------------------------------------------------------------
+
+    def occupied(self, path: int, pol: Optional[int] = None,
+                 photon: Optional[str] = None) -> tuple[bool, ...]:
+        """Per branch, whether a photon (`photon` only, when given) occupies
+        `path` with polarization index `pol` (either, when None).  A branch
+        where more than one photon does raises MultiPhotonCollision."""
+        self.require_path(path)
+        modes = ((path, H), (path, V)) if pol is None else ((path, pol),)
+        if photon is not None:
+            i = self.photon_index(photon)
+            return tuple(br.config[i] in modes for br in self.branches)
+        hits = tuple(sum(map(br.config.count, modes)) for br in self.branches)
+        if any(h > 1 for h in hits):
+            raise MultiPhotonCollision(f"{max(hits)} photons on path {path} in one branch")
+        return tuple(h == 1 for h in hits)
+
+    def select(self, where: Sequence[bool]) -> "HybridState":
+        """The branches flagged in `where` (see `occupied`), unnormalized."""
+        return self._with(br for br, w in zip(self.branches, where) if w)
 
     def photon_modes(self, photon: str) -> set[Optional[Mode]]:
         idx = self.photon_index(photon)
@@ -341,12 +433,9 @@ class HybridState:
 
     def occupants(self, path: int) -> set[str]:
         self.require_path(path)
-        found = set()
-        for br in self.branches:
-            for pid, mode in zip(self.photons, br.config):
-                if mode is not None and mode[0] == path:
-                    found.add(pid)
-        return found
+        modes = ((path, H), (path, V))
+        return {pid for br in self.branches
+                for pid, mode in zip(self.photons, br.config) if mode in modes}
 
 
 def product_state(photons: Sequence[tuple[str, int, object]],
@@ -365,7 +454,7 @@ def product_state(photons: Sequence[tuple[str, int, object]],
         raise PreconditionViolation("two photons share an initial path")
     registry = frozenset(paths) | frozenset(extra_paths)
     state = HybridState(photons=(), paths=registry, n_beams=0,
-                        branches=(Branch(1 + 0j, (), ()),))
+                        branches=(_branch((1 + 0j, (), ())),))
     for pid, path, spec in photons:
         state = state.add_photon(pid, path, spec)
     if beams:
@@ -402,7 +491,7 @@ def state_from_amplitudes(photon_modes: Sequence[tuple[str, Sequence[Mode]]],
         cfg.reverse()
         config = tuple((photon_modes[i][1][k][0], parse_pol(photon_modes[i][1][k][1]))
                        for i, k in enumerate(cfg))
-        branches.append(Branch(complex(amp), config, ()))
+        branches.append(_branch((complex(amp), config, ())))
     state = HybridState(photons=ids, paths=frozenset(registry), n_beams=0,
                         branches=tuple(branches))
     for pid, path, spec in spectators:

@@ -385,6 +385,27 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "--qubits" in captured.err and not captured.out
 
+    @pytest.mark.parametrize("args,option", [
+        ("verify-gate cnot --theta inf", "--theta"),
+        ("verify-gate cnot --alpha nan", "--alpha"),
+        ("resources cnot --alpha nan", "--alpha"),
+        ("resources cnot --theta nan", "--theta"),
+        ("oracle-check --alpha inf", "--alpha"),
+        ("oracle-check --theta x", "--theta"),
+        ("oracle-check --cutoff 3000", "--cutoff"),
+        ("oracle-check --cutoff 0", "--cutoff")])
+    def test_bad_numbers_are_usage_errors(self, monkeypatch, capsys, args, option):
+        """Checked before anything runs: no simulator or oracle call."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran with a bad option")
+        for name in ("extract_process_matrix", "cnot", "equivalence_report"):
+            monkeypatch.setattr(f"qubusim.cli.{name}", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(args.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert option in captured.err and not captured.out
+
     def test_oracle_check(self, capsys):
         assert main(["oracle-check", "--alpha", "1.0", "--theta", "0.3",
                      "--cutoff", "30"]) == 0

@@ -572,7 +572,6 @@ class TestQndSample:
             probs = [oc.probability for oc, _ in enumerated]
             for seed in range(20):
                 want = enumerated[draw_index(probs, np.random.default_rng(seed))]
-                got = qnd_detect(state, beam, det, mode="sample",
-                                 rng=np.random.default_rng(seed), k_max=k_max,
-                                 tail=tail)
+                got = qnd_detect(state, beam, det, rng=np.random.default_rng(seed),
+                                 k_max=k_max, tail=tail)
                 assert got == want

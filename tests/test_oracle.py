@@ -1,13 +1,28 @@
 """Truncated-Fock oracle: self-consistency and fast-path equivalence."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qubusim.detection import enumerate_fock_outcomes, fock_outcome_classes
-from qubusim.elements import ModeSelector, QubusBS, Xpm, qubus_bs, xpm
-from qubusim.errors import CutoffTooSmall
+from qubusim.elements import (
+    ANY,
+    ModeSelector,
+    PbsDiag,
+    PbsHV,
+    PhaseShift,
+    PhotonBS,
+    QubusBS,
+    QubusPhase,
+    Xpm,
+    apply_instruction,
+    qubus_bs,
+    xpm,
+)
+from qubusim.errors import CutoffTooSmall, SimulatorError
 from qubusim.oracle import (
     beam_distribution,
     coherent_coefficients,
@@ -145,3 +160,63 @@ class TestPipelines:
         assert report["worst_element"] <= 1e-6
         assert report["worst_pipeline"] <= 1e-6
         assert report["worst_distribution"] <= 1e-8
+
+
+# -- random element programs against the oracle ---------------------------------
+
+PATHS = range(6)
+PROGRAM_CUTOFF = 24  # |α| ≤ 1.5 on two beams: tails below 1e-10 even after a qubus BS
+# generic angles: no multiple of π/2, where a sign or a conjugate would not show
+PHASES = st.integers(-6, 6).map(lambda k: 0.5 * k + 0.1)
+
+
+@st.composite
+def element_programs(draw):
+    """A product state of at most 3 photons (on paths 0-2) and 2 beams of
+    |α| ≤ 1.5, and 2 to 6 of the seven element instructions over paths
+    0-5.  Routes and selectors may collide or miss, which must raise on both
+    sides alike."""
+    photons = [(f"p{i}", i, (math.cos(a), math.sin(a) * cmath.exp(1j * b)))
+               for i, (a, b) in enumerate(draw(st.lists(st.tuples(PHASES, PHASES),
+                                                        min_size=1, max_size=3)))]
+    beams = [0.25 * k * cmath.exp(1j * phi) for k, phi in draw(st.lists(
+        st.tuples(st.integers(0, 6), PHASES), min_size=1, max_size=2))]
+    path = st.sampled_from(PATHS)
+    selector = st.builds(ModeSelector, path, st.sampled_from(["H", "V", ANY]),
+                         st.sampled_from([None] + [pid for pid, _, _ in photons]))
+    inputs = st.lists(path, min_size=1, max_size=2, unique=True)
+    routes = inputs.flatmap(lambda ins: st.tuples(*(st.tuples(st.just(p), path) for p in ins)))
+    beam = st.integers(0, len(beams) - 1)
+    kinds = [st.builds(PhotonBS, path, path).filter(lambda i: i.path_a != i.path_b),
+             st.builds(PbsHV, routes, routes), st.builds(PbsDiag, routes, routes),
+             st.builds(PhaseShift, selector, PHASES), st.builds(QubusPhase, beam, PHASES),
+             st.builds(Xpm, selector, beam, PHASES)]
+    if len(beams) == 2:
+        kinds.append(st.sampled_from([QubusBS(0, 1), QubusBS(1, 0)]))
+    program = draw(st.lists(st.one_of(kinds), min_size=2, max_size=6))
+    return product_state(photons, beams, extra_paths=PATHS), program
+
+
+class TestRandomPrograms:
+    """The elements against the truncated-Fock oracle on random programs."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(element_programs())
+    def test_programs_match_the_oracle(self, case):
+        fast, program = case
+        fv = fock_encode(fast, PROGRAM_CUTOFF)
+        for ins in program:
+            try:
+                fast = apply_instruction(fast, ins)
+            except SimulatorError:
+                with pytest.raises(SimulatorError):
+                    fock_apply(ins, fv)
+                return
+            fv = fock_apply(ins, fv)
+        # fock_encode refuses coherent tails above 1e-10 beyond the cutoff
+        assert compare(fast, fv) <= 1e-8
+        dist = beam_distribution(fv, 0)
+        fast_dist = np.zeros_like(dist)
+        for n, p, _ in enumerate_fock_outcomes(fast, 0, tail=1e-13):
+            fast_dist[n] = p
+        assert np.abs(fast_dist - dist).max() <= 1e-8

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,8 +210,26 @@ class TestBuilders:
         assert st_.norm() == pytest.approx(1.0)
         assert len(st_.branches) == 4
 
+    @pytest.mark.parametrize("spec", [(0.6, 0.8j), [0.6, 0.8j], np.array([0.6, 0.8j]),
+                                      {"H": 0.6, "V": 0.8j}],
+                             ids=["tuple", "list", "array", "mapping"])
+    def test_polarization_pairs(self, spec):
+        st_ = product_state([("p", 0, spec)])
+        assert [br.amp for br in st_.branches] == [0.6, 0.8j]
+
     def test_swap_photon_labels(self):
         st_ = product_state([("a", 0, "H"), ("b", 1, "V")])
         got = st_.swap_photon_labels("a", "b")
         idx_a = got.photon_index("a")
         assert got.branches[0].config[idx_a] == (1, 1)
+
+
+def test_only_state_builds_branches():
+    """The branch layout is known to state.py alone: no other module under
+    src/qubusim constructs a Branch or replaces a state's branches."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qubusim"
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "state.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\bBranch\(|\bbranches=", line)]
+    assert not found, "\n".join(found)
