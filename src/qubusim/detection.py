@@ -32,8 +32,10 @@ state is not representable by a coherent label).  By default the collapse is
 the literal Born rule; gates opt into the idealized pointer collapse where a
 zero-photon outcome selects exactly the zero-amplitude branches, the reading
 under which the feed-forward corrections restore the target state exactly
-(see `vacuum_pointer`).  The weight this idealization reassigns is precisely
-the misidentification probability returned by `detection_error_exact`.
+(see `vacuum_pointer`).  The weight this idealization reassigns is the n = 0
+overlap of the ±β branches, e^{−|β|²} per unit of their weight (0.137 of a
+public `c_path`'s n = 0 record at α 2, θ 0.5): the n = 0 term that
+`vacuum_response_probability` includes and `detection_error_exact` leaves out.
 """
 
 from __future__ import annotations

@@ -81,7 +81,6 @@ from . import detection
 from .detection import (
     DetectorParams,
     draw_index,
-    enumerate_fock_outcomes,  # re-exported; no gate enumerates per n
     povm_bins,
     read_beam,
     response_matrix,

@@ -72,8 +72,9 @@ def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryMatrix("expected a square matrix")
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan
+        dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if not dev <= tol:
         raise NonUnitaryMatrix(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 
@@ -123,52 +124,25 @@ def kron_split(l4: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarra
 
 
 def _joint_orthogonal_diagonalization(m: np.ndarray) -> np.ndarray:
-    """Real orthogonal O diagonalizing the unitary symmetric m = O D Oᵀ."""
-    a, b = m.real, m.imag
-    w, q = np.linalg.eigh(a)
-    o = q.copy()
-    i = 0
-    while i < 4:
-        j = i
-        while j + 1 < 4 and abs(w[j + 1] - w[i]) < 1e-9:
-            j += 1
-        if j > i:
-            block = o[:, i:j + 1]
-            sub = block.T @ b @ block
-            _, qs = np.linalg.eigh(0.5 * (sub + sub.T))
-            o[:, i:j + 1] = block @ qs
-        i = j + 1
+    """Real orthogonal O diagonalizing the unitary symmetric m = O D Oᵀ.
+
+    Re(m) and Im(m) commute, so O diagonalizes cos t·Re(m) + sin t·Im(m),
+    whose eigenvalues cos(φ_k − t) meet only where e^{iφ_j} = e^{iφ_k} or
+    2t = φ_j + φ_k (mod 2π).  t is the centre of the widest gap between the
+    six pair midpoints (φ_j + φ_k)/2 mod π, a gap at least π/6 wide, so a
+    near-tie left in the combination is a near-tie of m itself, where any
+    basis leaves a residual no larger than the tie's width.
+    """
+    phi = np.angle(np.linalg.eigvals(m))
+    mids = np.sort([(phi[j] + phi[k]) / 2 % math.pi
+                    for j in range(4) for k in range(j + 1, 4)])
+    gaps = np.diff(mids, append=mids[0] + math.pi)
+    i = int(np.argmax(gaps))
+    t = mids[i] + gaps[i] / 2
+    _, o = np.linalg.eigh(math.cos(t) * m.real + math.sin(t) * m.imag)
     if np.linalg.det(o) < 0:
         o[:, 0] = -o[:, 0]
     return o
-
-
-def _kak_raw(u: np.ndarray):
-    """One decomposition attempt; returns (angles, L1, L2, ok_flag)."""
-    d = np.linalg.det(u)
-    root = cmath.exp(1j * cmath.phase(d) / 4)
-    usu = u / root
-    v = MAGIC.conj().T @ usu @ MAGIC
-    m = v.T @ v
-    o = _joint_orthogonal_diagonalization(m)
-    diag = o.T @ m @ o
-    if np.abs(diag - np.diag(np.diag(diag))).max() > 1e-8:
-        return None
-    evals = np.diag(diag)
-    theta = np.angle(evals) / 2.0
-    total = theta.sum()
-    theta[0] -= math.pi * round(total / math.pi)
-    k1 = v @ o @ np.diag(np.exp(-1j * theta))
-    if np.abs(k1.imag).max() > 1e-7:
-        return None
-    k1 = k1.real
-    l1 = MAGIC @ k1 @ MAGIC.conj().T
-    l2 = MAGIC @ o.T @ MAGIC.conj().T
-    lam = theta
-    ax = (lam[0] + lam[2]) / 2
-    ay = (lam[1] + lam[2]) / 2
-    az = (lam[0] + lam[1]) / 2
-    return (ax, ay, az), l1 * root, l2
 
 
 def _fold_angle(x: float) -> tuple[float, int]:
@@ -245,50 +219,48 @@ def _sqrt_x() -> np.ndarray:
     return np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2
 
 
-def kak_decompose(u: np.ndarray, tol: float = 1e-9,
-                  max_retries: int = 8) -> TwoQubitCanonicalParams:
+def kak_decompose(u: np.ndarray, tol: float = 1e-9) -> TwoQubitCanonicalParams:
     """Decompose U ∈ U(4), validated by reconstruction to within `tol`.
 
-    Degenerate spectra occasionally destabilize the joint diagonalization;
-    such attempts are retried after conjugating with seeded random locals
-    (deterministic), and NumericalDegeneracy is raised only if all retries
-    fail.
+    In the magic frame, v = M†·U·M / det(U)^{1/4} and the symmetric
+    m = vᵀv = O·D·Oᵀ give U = L1 · N(angles) · L2 with 4×4 locals
+    L1 = M·k1·M† (k1 = v·O·D^{−1/2}, real) and L2 = M·Oᵀ·M†.  Raises
+    NumericalDegeneracy, naming the check that failed, if Oᵀ·m·O is off the
+    diagonal, k1 is not real, a local is not a kron product or the factors
+    do not rebuild U.
     """
     u = check_unitary(np.asarray(u, dtype=complex), 1e-10)
     if u.shape != (4, 4):
         raise NonUnitaryMatrix("expected a 4x4 matrix")
-    rng = np.random.default_rng(2024075)  # deterministic retry seed
-    for attempt in range(max_retries):
-        if attempt == 0:
-            pre = post = (PAULI_I, PAULI_I)
-            target = u
-        else:
-            pre = (_random_su2(rng), _random_su2(rng))
-            post = (_random_su2(rng), _random_su2(rng))
-            target = np.kron(*pre) @ u @ np.kron(*post)
-        raw = _kak_raw(target)
-        if raw is None:
-            continue
-        angles, l1, l2 = raw
-        try:
-            b1, b2 = kron_split(l1)
-            b3, b4 = kron_split(l2)
-        except NumericalDegeneracy:
-            continue
-        # undo the random conjugation
-        b1, b2 = pre[0].conj().T @ b1, pre[1].conj().T @ b2
-        b3, b4 = b3 @ post[0].conj().T, b4 @ post[1].conj().T
-        angles, b1, b2, b3, b4 = _canonicalize(angles, b1, b2, b3, b4)
-        params = TwoQubitCanonicalParams(angles[0], angles[1], angles[2],
-                                         b1, b2, b3, b4)
-        if np.abs(params.reconstruct() - u).max() <= tol:
-            return params
-    raise NumericalDegeneracy(
-        "no stable canonical decomposition found after retries")
-
-
-def _random_su2(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q) + 0j)
+    d = np.linalg.det(u)
+    root = cmath.exp(1j * cmath.phase(d) / 4)
+    usu = u / root
+    v = MAGIC.conj().T @ usu @ MAGIC
+    m = v.T @ v
+    o = _joint_orthogonal_diagonalization(m)
+    diag = o.T @ m @ o
+    off = np.abs(diag - np.diag(np.diag(diag))).max()
+    if off > 1e-8:
+        raise NumericalDegeneracy(f"off-diagonal check failed: {off:.3e}")
+    evals = np.diag(diag)
+    theta = np.angle(evals) / 2.0
+    total = theta.sum()
+    theta[0] -= math.pi * round(total / math.pi)
+    k1 = v @ o @ np.diag(np.exp(-1j * theta))
+    imag = np.abs(k1.imag).max()
+    if imag > 1e-7:
+        raise NumericalDegeneracy(f"real-k1 check failed: {imag:.3e}")
+    l1 = MAGIC @ k1.real @ MAGIC.conj().T
+    l2 = MAGIC @ o.T @ MAGIC.conj().T
+    ax = (theta[0] + theta[2]) / 2
+    ay = (theta[1] + theta[2]) / 2
+    az = (theta[0] + theta[1]) / 2
+    b1, b2 = kron_split(l1 * root)
+    b3, b4 = kron_split(l2)
+    angles, b1, b2, b3, b4 = _canonicalize((ax, ay, az), b1, b2, b3, b4)
+    params = TwoQubitCanonicalParams(angles[0], angles[1], angles[2],
+                                     b1, b2, b3, b4)
+    err = np.abs(params.reconstruct() - u).max()
+    if err > tol:
+        raise NumericalDegeneracy(f"reconstruction check failed: {err:.3e}")
+    return params

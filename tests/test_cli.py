@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qubusim.circuits import (
@@ -17,7 +18,10 @@ from qubusim.circuits import (
 )
 from qubusim.cli import gate_catalog, main
 from qubusim.errors import CutoffTooSmall, ParseError, ValidationError
+from qubusim.kak import canonical_gate
 from qubusim.verify import extract_process_matrix
+
+from conftest import random_unitary
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -331,6 +335,25 @@ class TestCommandLine:
         assert report["ok"]
         capsys.readouterr()
 
+    def test_run_near_degenerate_two_qubit(self, tmp_path, capsys):
+        """A U(4) with canonical angles (π/8, 1e-9, 0) runs to a full report."""
+        rng = np.random.default_rng(9)
+        u = (np.kron(random_unitary(2, rng), random_unitary(2, rng))
+             @ canonical_gate(math.pi / 8, 1e-9, 0.0)
+             @ np.kron(random_unitary(2, rng), random_unitary(2, rng)))
+        doc = json.loads(CNOT_DOC)
+        doc["photons"][0]["state"] = "+"
+        doc["circuit"] = [{"op": "two_qubit", "control": "C", "target": "T",
+                           "matrix": [[[z.real, z.imag] for z in row]
+                                      for row in u.tolist()]}]
+        src = tmp_path / "two_qubit.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["run", str(src), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert report["checks"]["probability_sum"] == pytest.approx(1.0, abs=1e-9)
+
     def test_verify_gate(self, capsys):
         assert main(["verify-gate", "cnot"]) == 0
         captured = capsys.readouterr()
@@ -432,11 +455,12 @@ class TestGoldenGateOutputs:
 
     @pytest.mark.parametrize("name", sorted(MATRICES["matrices"]))
     def test_verify_gate_matrix(self, name):
-        nq, runner, _ = gate_catalog(self.MATRICES["alpha"],
-                                     self.MATRICES["theta"])[name]
+        nq, runner, ideal = gate_catalog(self.MATRICES["alpha"],
+                                         self.MATRICES["theta"])[name]
         matrix = extract_process_matrix(runner, [(f"q{i}", i) for i in range(nq)])
-        golden = [[complex(re, im) for re, im in row]
-                  for row in self.MATRICES["matrices"][name]]
+        golden = np.array([[complex(re, im) for re, im in row]
+                           for row in self.MATRICES["matrices"][name]])
+        assert abs(golden - ideal).max() <= 1e-14
         assert matrix.shape == (2 ** nq, 2 ** nq)
         assert abs(matrix - golden).max() <= 1e-12
 

@@ -638,7 +638,7 @@ class TestWorkCounters:
         enumerate per n."""
         with monkeypatch.context() as m:
             calls = count_calls(m, [(detection, "_fock_collapse"),
-                                    (gates, "enumerate_fock_outcomes")])
+                                    (detection, "enumerate_fock_outcomes")])
             if gate == "cnot":
                 st = product_state([("C", 0, "+"), ("T", 1, "H")])
                 res = cnot(st, "C", "T", alpha, theta)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubusim.errors import NonUnitaryMatrix
 from qubusim.kak import (
@@ -101,6 +103,23 @@ class TestKakDecompose:
             p = kak_decompose(u)
             assert np.abs(p.reconstruct() - u).max() <= 1e-9
             assert weyl_ok(*p.angles)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(angles=st.tuples(*[st.one_of(
+               st.sampled_from([0.0, math.pi / 8, math.pi / 4]),
+               st.floats(-12, -6).map(lambda e: 10.0 ** e))] * 3),
+           signs=st.tuples(*[st.sampled_from([1, -1])] * 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_near_degenerate_angles(self, angles, signs, seed):
+        """Canonical angles from 0, π/8, π/4 and ε in 1e-12..1e-6, with
+        signs, leave near-equal eigenphases in the magic frame."""
+        rng = np.random.default_rng(seed)
+        u = (np.kron(random_unitary(2, rng), random_unitary(2, rng))
+             @ canonical_gate(*(s * a for s, a in zip(signs, angles)))
+             @ np.kron(random_unitary(2, rng), random_unitary(2, rng)))
+        p = kak_decompose(u)
+        assert np.abs(p.reconstruct() - u).max() <= 1e-9
+        assert weyl_ok(*p.angles)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryMatrix):

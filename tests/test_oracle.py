@@ -62,9 +62,10 @@ class TestEncode:
         st = state_from_amplitudes(
             [("a", ((0, "H"), (0, "V"))), ("b", ((1, "H"), (1, "V")))], vec)
         st = st.attach_beams((1.2, 0.4 - 0.9j))
-        other = st.swap_paths(0, 1) if False else st
+        other = xpm(st, ModeSelector(0, "V"), 0, 0.7)
         fv = fock_encode(st, 40)
         assert abs(fv.inner(fv) - st.inner(st)) <= 1e-8
+        assert abs(fv.inner(fock_encode(other, 40)) - st.inner(other)) <= 1e-8
 
 
 class TestApply:
