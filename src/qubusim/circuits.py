@@ -525,7 +525,7 @@ def run_program(program: CircuitProgram) -> dict:
     trace = gates.ResourceTrace()
     checks = {"norms_ok": True, "probability_sum": None}
 
-    def execute(mode) -> list[Record]:
+    def execute(mode, trace) -> list[Record]:
         records = gates.initial_records(initial_state(program))
         for k, ins in enumerate(program.instructions):
             records = apply_program_instruction(records, ins, k, program,
@@ -534,7 +534,7 @@ def run_program(program: CircuitProgram) -> dict:
 
     report = {"mode": program.mode}
     if program.mode == "exact":
-        records = execute(gates.ExactMode(tail=program.tail))
+        records = execute(gates.ExactMode(tail=program.tail), trace)
         total = float(sum(r.probability for r in records))
         checks["probability_sum"] = float(f"{total:.12g}")
         recs = [_record_report(r) for r in records]
@@ -545,7 +545,9 @@ def run_program(program: CircuitProgram) -> dict:
         rng = np.random.default_rng(program.seed)
         shots = []
         for shot in range(program.shots):
-            records = execute(gates.SampleMode(rng=rng, tail=program.tail))
+            # the report carries one run's resources: only the first shot logs
+            records = execute(gates.SampleMode(rng=rng, tail=program.tail),
+                              trace if shot == 0 else gates.ResourceTrace())
             if len(records) != 1:
                 records = gates.coalesce(records)
             rep = _record_report(records[0])

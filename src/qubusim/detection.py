@@ -250,7 +250,10 @@ def draw_index(probabilities: Sequence[float], rng: np.random.Generator) -> int:
 
 def peak_mean(det: DetectorParams, k: int) -> float:
     """Difference-mode Poisson mean |γ|²(1−cos kθp) for signal Fock k."""
-    return abs(det.gamma) ** 2 * (1.0 - math.cos(k * det.theta_p))
+    try:
+        return abs(det.gamma) ** 2 * (1.0 - math.cos(k * det.theta_p))
+    except OverflowError:
+        raise PreconditionViolation(f"probe amplitude {det.gamma!r} overflows |γ|²") from None
 
 
 def povm_bins(det: DetectorParams, k_max: int) -> PovmBins:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qubusim.circuits import (
+    override_run,
     parse_circuit,
     report_to_json,
     run_program,
@@ -303,6 +304,16 @@ class TestRunProgram:
                 res["ancilla_photons_concurrent"]) == (2, 2, 4, 1)
         assert res["cumulative_qubus_attenuation"] == pytest.approx(
             math.cos(0.5) ** 4, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["cnot", "toffoli"])
+    def test_sampled_resources_are_one_run(self, name):
+        """A sampled report's resources are those of one run, as in exact
+        mode, whatever the number of shots."""
+        program = parse_circuit((REPO / "circuits" / f"{name}.json").read_text())
+        exact = run_program(override_run(program, mode="exact"))
+        sampled = run_program(override_run(program, mode="sample", shots=3))
+        assert len(sampled["shots"]) == 3
+        assert sampled["resources"] == exact["resources"]
 
     def test_fredkin_demo_file(self):
         text = (REPO / "circuits" / "fredkin.json").read_text()

@@ -31,7 +31,7 @@ from qubusim.detection import (
     simulate_readout,
     vacuum_response_probability,
 )
-from qubusim.errors import BinsOverlap, CutoffTooSmall
+from qubusim.errors import BinsOverlap, CutoffTooSmall, PreconditionViolation
 from qubusim.state import Branch, HybridState, coherent_overlap, product_state
 
 
@@ -238,6 +238,11 @@ class TestPovmBins:
     def test_overlapping_peaks_rejected(self):
         det = DetectorParams(eta=0.9, gamma=10.0, theta_p=0.01)
         with pytest.raises(BinsOverlap):
+            povm_bins(det, 2)
+
+    def test_overflowing_probe_amplitude_rejected(self):
+        det = DetectorParams(eta=0.9, gamma=1e308, theta_p=0.1)
+        with pytest.raises(PreconditionViolation, match="overflows"):
             povm_bins(det, 2)
 
     def test_povm_completeness_and_positivity(self):
