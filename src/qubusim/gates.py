@@ -85,7 +85,8 @@ from .detection import (
     read_beam,
     response_matrix,
 )
-from .elements import ANY, ModeSelector, pbs_diag, phase_shift, photon_bs, qubus_bs, qubus_phase, xpm
+from .elements import (ANY, Instruction, ModeSelector, PhotonBS, QubusBS, QubusPhase, Xpm,
+                       apply_instruction, pbs_diag, phase_shift, photon_bs)
 from .errors import PreconditionViolation
 from .kak import (
     HADAMARD,
@@ -340,27 +341,60 @@ def coalesce(records: Sequence[Record], tol: float = 1e-9) -> list[Record]:
 
 # -- controlled-path gate -----------------------------------------------------
 
-def _bus_readout(state: HybridState, beam1_modes: Sequence[ModeSelector],
-                 beam2_modes: Sequence[ModeSelector], alpha: float, theta: float,
+def _qubus_module(beam1_modes: Sequence[ModeSelector],
+                  beam2_modes: Sequence[ModeSelector], theta: float,
+                  beam: int) -> tuple[Instruction, ...]:
+    """The coupling program of both elementary gates on beams `beam` and
+    `beam + 1`: couple the first to `beam1_modes` and the second to
+    `beam2_modes` by θ, displace both by −θ and mix them on a qubus BS."""
+    b2 = beam + 1
+    return (*(Xpm(sel, beam, theta) for sel in beam1_modes),
+            *(Xpm(sel, b2, theta) for sel in beam2_modes),
+            QubusPhase(beam, -theta), QubusPhase(b2, -theta), QubusBS(beam, b2))
+
+
+def _c_path_program(target: str, path_h: int, path_v: int,
+                    v_modes: Sequence[ModeSelector], h_modes: Sequence[ModeSelector],
+                    theta: float, beam: int = 0) -> tuple[Instruction, ...]:
+    """The optical program of a controlled path: the target's beam splitter,
+    then the first beam couples to the target on `path_h` and to the
+    `v_modes`, the second to the target on `path_v` and to the `h_modes`."""
+    return (PhotonBS(path_h, path_v),
+            *_qubus_module([ModeSelector(path_h, ANY, target), *v_modes],
+                           [ModeSelector(path_v, ANY, target), *h_modes], theta, beam))
+
+
+def _control_modes(control: str, path: int) -> tuple[list, list]:
+    """The (V, H) modes of a control photon on `path`, which the public
+    `c_path` couples to its first and its second beam."""
+    return [ModeSelector(path, "V", control)], [ModeSelector(path, "H", control)]
+
+
+def _entangler_program(p: int, q: int, dest_path: int, ancilla: str,
+                       theta: float, beam: int = 0) -> tuple[Instruction, ...]:
+    """The optical program of a merging's entangler: the first beam couples
+    to V on the source paths `p`, `q` and to the ancilla's H on
+    `dest_path`, the second to H on the source paths and the ancilla's V."""
+    return _qubus_module(
+        [ModeSelector(p, "V"), ModeSelector(q, "V"), ModeSelector(dest_path, "H", ancilla)],
+        [ModeSelector(p, "H"), ModeSelector(q, "H"), ModeSelector(dest_path, "V", ancilla)],
+        theta, beam)
+
+
+def _bus_readout(state: HybridState, program: Sequence[Instruction], alpha: float,
                  mode: MeasureMode, feed_forward: Callable) -> list[Record]:
     """The qubus module of both elementary gates: attach two beams (α, α),
-    couple the first to `beam1_modes` and the second to `beam2_modes` by θ,
-    displace both by −θ, mix them on `qubus_bs` and read the first.
+    run the gate's optical `program` on them (built for the first new beam)
+    and read the first.
 
     Each readout becomes a record: `feed_forward(n̂, post)` gives its
     corrected state and corrections, and the surviving beam is detached as
     the recycled qubus amplitude where it is uniform.
     """
     b1 = state.n_beams
-    s = state.attach_beams((alpha, alpha))
-    for beam, modes in ((b1, beam1_modes), (b1 + 1, beam2_modes)):
-        for sel in modes:
-            s = xpm(s, sel, beam, theta)
-    s = qubus_phase(s, b1, -theta)
-    s = qubus_phase(s, b1 + 1, -theta)
+    s = functools.reduce(apply_instruction, program, state.attach_beams((alpha, alpha)))
     records = []
-    for n_hat, label, prob, post, mult in _measure_beam(qubus_bs(s, b1, b1 + 1),
-                                                        b1, mode):
+    for n_hat, label, prob, post, mult in _measure_beam(s, b1, mode):
         post, corrections = feed_forward(n_hat, post)
         try:
             post, recycled = post.detach_beam(b1)
@@ -377,10 +411,9 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
                  alpha: float, theta: float, mode: MeasureMode) -> list[Record]:
     """Shared pipeline of the standard and multi-control controlled-path gate.
 
-    The first qubus beam couples to the target on `path_h` and to the
-    `v_modes`; the second to the target on `path_v` and to the `h_modes`.
-    Outcome n = 0 leaves H-flagged components on `path_h`; n ≠ 0 records are
-    corrected by the path swap plus the odd-n π phase.
+    Runs `_c_path_program` on the bus.  Outcome n = 0 leaves H-flagged
+    components on `path_h`; n ≠ 0 records are corrected by the path swap
+    plus the odd-n π phase.
     """
     def feed_forward(n_hat, post):
         corrections = []
@@ -392,10 +425,9 @@ def _c_path_core(state: HybridState, target: str, path_h: int, path_v: int,
                 corrections.append(f"pi phase on path {path_v}")
         return post, tuple(corrections)
 
-    records = _bus_readout(photon_bs(state, path_h, path_v),
-                           [ModeSelector(path_h, ANY, target), *v_modes],
-                           [ModeSelector(path_v, ANY, target), *h_modes],
-                           alpha, theta, mode, feed_forward)
+    program = _c_path_program(target, path_h, path_v, v_modes, h_modes, theta,
+                              state.n_beams)
+    records = _bus_readout(state, program, alpha, mode, feed_forward)
     return [replace(rec, state=rec.state.canonicalize(1e-12)) for rec in records]
 
 
@@ -424,11 +456,9 @@ def c_path(state: HybridState, control: str, target: str,
     if state.occupants(p2):
         raise PreconditionViolation("second target path must be empty")
     trace.log_elementary("c_path", theta, couplings=4)
-    records = _c_path_core(
-        state, target, p1, p2,
-        v_modes=[ModeSelector(cpath, "V", control)],
-        h_modes=[ModeSelector(cpath, "H", control)],
-        alpha=alpha, theta=theta, mode=mode)
+    v_modes, h_modes = _control_modes(control, cpath)
+    records = _c_path_core(state, target, p1, p2, v_modes=v_modes, h_modes=h_modes,
+                           alpha=alpha, theta=theta, mode=mode)
     return GateResult(tuple(records), trace.report())
 
 
@@ -569,10 +599,8 @@ def merging(state: HybridState, photon: str, source_paths: tuple[int, int],
 
     trace.log_elementary("merging", theta, couplings=4)
     entangled = _bus_readout(
-        state, [ModeSelector(p, "V"), ModeSelector(q, "V"),
-                ModeSelector(dest_path, "H", anc)],
-        [ModeSelector(p, "H"), ModeSelector(q, "H"),
-         ModeSelector(dest_path, "V", anc)], alpha, theta, mode, feed_forward)
+        state, _entangler_program(p, q, dest_path, anc, theta, state.n_beams),
+        alpha, mode, feed_forward)
     if mode.classes:
         entangled = _merge_classes(entangled)
 

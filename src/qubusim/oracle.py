@@ -350,25 +350,30 @@ def equivalence_report(alpha: float, theta: float, cutoff: int = 40,
     """Run the fast simulator and this oracle side by side.
 
     Exercises every element on a seeded random two-photon/two-beam state,
-    then the full controlled-path and merging-entangler pipelines up to
-    their measurement, and compares the measurement distribution of the
+    then the controlled-path and merging-entangler programs that the gates
+    themselves run (`gates._c_path_program`, `gates._entangler_program`) up
+    to their measurement, and compares the measurement distribution of the
     coupled beam.  Returns the worst distances found.
     """
-    from .elements import apply_instruction
     from .detection import enumerate_fock_outcomes
+    from .elements import apply_instruction
+    from .gates import _c_path_program, _control_modes, _entangler_program
     from .state import state_from_amplitudes
 
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
+    two_photons = state_from_amplitudes(
+        [("C", ((0, "H"), (0, "V"))), ("T", ((1, "H"), (1, "V")))],
+        vec, paths={0, 1, 2, 3}).attach_beams((alpha, alpha))
 
-    def fresh():
-        st = state_from_amplitudes(
-            [("C", ((0, "H"), (0, "V"))), ("T", ((1, "H"), (1, "V")))],
-            vec, paths={0, 1, 2, 3})
-        return st.attach_beams((alpha, alpha))
+    def run(seq, fast):
+        fv = fock_encode(fast, cutoff)
+        for ins in seq:
+            fast = apply_instruction(fast, ins)
+            fv = fock_apply(ins, fv)
+        return fast, fv
 
-    sel_any = ModeSelector(1, ANY, "T")
     element_suite = [
         ("photon_bs", [PhotonBS(1, 2)]),
         ("pbs_hv", [PbsHV(((0, 0), (1, 1)), ((0, 2), (1, 3)))]),
@@ -378,69 +383,29 @@ def equivalence_report(alpha: float, theta: float, cutoff: int = 40,
         ("xpm", [Xpm(ModeSelector(0, "V", "C"), 0, theta)]),
         ("qubus_bs", [QubusBS(0, 1)]),
     ]
-    report = {}
-    worst_elements = 0.0
-    for name, seq in element_suite:
-        fast = fresh()
-        fv = fock_encode(fast, cutoff)
-        for ins in seq:
-            fast = apply_instruction(fast, ins)
-            fv = fock_apply(ins, fv)
-        d = compare(fast, fv)
-        report[f"element:{name}"] = d
-        worst_elements = max(worst_elements, d)
-
-    def run_pipeline(seq):
-        fast = fresh()
-        fv = fock_encode(fast, cutoff)
-        for ins in seq:
-            fast = apply_instruction(fast, ins)
-            fv = fock_apply(ins, fv)
-        return fast, fv
-
-    c_path_seq = [
-        PhotonBS(1, 2),
-        Xpm(sel_any, 0, theta), Xpm(ModeSelector(0, "V", "C"), 0, theta),
-        Xpm(ModeSelector(2, ANY, "T"), 1, theta), Xpm(ModeSelector(0, "H", "C"), 1, theta),
-        QubusPhase(0, -theta), QubusPhase(1, -theta), QubusBS(0, 1),
-    ]
-    fast, fv = run_pipeline(c_path_seq)
-    report["pipeline:c_path"] = compare(fast, fv)
-    dist_fast = {n: p for n, p, _ in
-                 enumerate_fock_outcomes(fast, 0, tail=1e-14)}
-    dist_oracle = beam_distribution(fv, 0)
-    report["distribution:c_path"] = max(
-        abs(p - dist_oracle[n]) for n, p in dist_fast.items())
+    report = {f"element:{name}": compare(*run(seq, two_photons))
+              for name, seq in element_suite}
+    worst_elements = max(0.0, *report.values())
 
     # merging entangler: photon T split over paths 1,2 with C as companion,
     # ancilla on path 3 in |+⟩
-    def fresh_merge():
-        st = state_from_amplitudes(
-            [("C", ((0, "H"), (0, "V"))),
-             ("T", ((1, "H"), (1, "V"), (2, "H"), (2, "V")))],
-            np.array([vec[0], vec[1], 0, 0, 0, 0, vec[2], vec[3]]),
-            paths={0, 1, 2, 3})
-        st = st.add_photon("A", 3, "+")
-        return st.attach_beams((alpha, alpha))
-
-    entangler_seq = [
-        Xpm(ModeSelector(1, "V"), 0, theta), Xpm(ModeSelector(2, "V"), 0, theta),
-        Xpm(ModeSelector(3, "H", "A"), 0, theta),
-        Xpm(ModeSelector(1, "H"), 1, theta), Xpm(ModeSelector(2, "H"), 1, theta),
-        Xpm(ModeSelector(3, "V", "A"), 1, theta),
-        QubusPhase(0, -theta), QubusPhase(1, -theta), QubusBS(0, 1),
-    ]
-    fast = fresh_merge()
-    fv = fock_encode(fast, cutoff)
-    for ins in entangler_seq:
-        fast = apply_instruction(fast, ins)
-        fv = fock_apply(ins, fv)
-    report["pipeline:merging"] = compare(fast, fv)
-    dist_fast = {n: p for n, p, _ in
-                 enumerate_fock_outcomes(fast, 0, tail=1e-14)}
-    dist_oracle = beam_distribution(fv, 0)
-    report["distribution:merging"] = max(
-        abs(p - dist_oracle[n]) for n, p in dist_fast.items())
+    split = state_from_amplitudes(
+        [("C", ((0, "H"), (0, "V"))),
+         ("T", ((1, "H"), (1, "V"), (2, "H"), (2, "V")))],
+        np.array([vec[0], vec[1], 0, 0, 0, 0, vec[2], vec[3]]),
+        paths={0, 1, 2, 3}).add_photon("A", 3, "+").attach_beams((alpha, alpha))
+    pipelines = {
+        "c_path": (_c_path_program("T", 1, 2, *_control_modes("C", 0), theta),
+                   two_photons),
+        "merging": (_entangler_program(1, 2, 3, "A", theta), split),
+    }
+    for name, (seq, start) in pipelines.items():
+        fast, fv = run(seq, start)
+        report[f"pipeline:{name}"] = compare(fast, fv)
+        dist_oracle = beam_distribution(fv, 0)
+        report[f"distribution:{name}"] = max(
+            abs(p - dist_oracle[n])
+            for n, p, _ in enumerate_fock_outcomes(fast, 0, tail=1e-14))
 
     report["worst_element"] = worst_elements
     report["worst_pipeline"] = max(report["pipeline:c_path"],

@@ -1,11 +1,13 @@
-"""Gate verification: logical amplitude extraction, process-matrix probing
-and ideal reference matrices.
+"""Gate verification: logical amplitude extraction, process-matrix
+extraction and ideal reference matrices.
 
-A gate runner maps an input state to its outcome records.  The extracted
-process matrix is built from computational-basis probes (columns up to
-record-level phases) plus diagonal-basis probes |e0 + ej⟩/√2 that pin the
-relative column phases; every record of every probe must agree with the
-others up to a global phase, which is itself a correctness check.
+A gate runner maps an input state to its outcome records.  The process
+matrix comes from one run on the Choi–Jamiołkowski state Σ_j |j⟩_Q|j⟩_R/√d,
+where each qubit of Q has a reference photon in R on a path the gate never
+touches: the output amplitudes over Q and R, reshaped (d, d) and scaled by
+√d, are the matrix with its column phases.  Every record of the run must
+stay in the qubit subspace, all records must agree up to a global phase,
+and the matrix must be unitary; each of these is a correctness check.
 """
 
 from __future__ import annotations
@@ -95,29 +97,22 @@ def probe_output(runner: Runner, qubits: Sequence[tuple[str, int]],
 
 def extract_process_matrix(runner: Runner, qubits: Sequence[tuple[str, int]],
                            record_tol: float = 1e-8) -> np.ndarray:
-    """Probe a gate into its unitary matrix, up to one global phase.
+    """A gate's unitary matrix, up to one global phase, from one run.
 
-    Computational-basis probes give the columns; diagonal probes
-    (e0 + ej)/√2 transfer every column into the phase frame of column 0;
-    the result is then canonicalized (largest entry real positive).
+    Each qubit gets a reference photon on a path above every qubit's home,
+    and the runner runs once on Σ_j |j⟩|j⟩/√d over qubits and references
+    (`probe_output`).  The output vector, reshaped (d, d) and times √d, is
+    the matrix; it must be unitary within `record_tol`.  The result is then
+    canonicalized (largest entry real positive).
     """
     d = 2 ** len(qubits)
-    cols = []
-    for j in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[j] = 1.0
-        cols.append(probe_output(runner, qubits, e, record_tol))
-    m = np.column_stack(cols)
-    for j in range(1, d):
-        w = np.zeros(d, dtype=complex)
-        w[0] = 1 / _SQ2
-        w[j] = 1 / _SQ2
-        out = probe_output(runner, qubits, w, record_tol)
-        c0 = np.vdot(m[:, 0], out)
-        cj = np.vdot(m[:, j], out)
-        if abs(c0) < 1e-6 or abs(cj) < 1e-6:
-            raise PreconditionViolation("degenerate phase probe")
-        m[:, j] = m[:, j] * (cj / c0) / abs(cj / c0)
+    top = max(home for _, home in qubits) + 1
+    references = [(f"{photon}:ref", top + i) for i, (photon, _) in enumerate(qubits)]
+    choi = np.eye(d, dtype=complex).ravel() / math.sqrt(d)
+    m = probe_output(runner, [*qubits, *references], choi, record_tol).reshape(d, d)
+    m = m * math.sqrt(d)
+    if np.abs(m.conj().T @ m - np.eye(d)).max() > record_tol:
+        raise PreconditionViolation("extracted matrix is not unitary")
     i = int(np.argmax(np.abs(m)))
     phase = m.flat[i] / abs(m.flat[i])
     return m * phase.conjugate()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qubusim.errors import PreconditionViolation
-from qubusim.gates import Record
+from qubusim.gates import Record, cnot
 from qubusim.state import product_state, state_from_amplitudes
 from qubusim.verify import (
     extract_process_matrix,
+    ideal_cnot,
     logical_amplitudes,
+    matrix_residual_up_to_phase,
     probe_output,
     qubit_modes,
 )
@@ -55,12 +57,26 @@ def test_records_disagree():
         probe_output(runner, QUBIT, np.array([1.0, 0.0]))
 
 
-def test_degenerate_phase_probe():
-    """A runner that measures its qubit passes every basis probe, but its
-    output on (e0 + e1)/√2 has no overlap with column 1."""
+def test_extracted_matrix_not_unitary():
+    """A runner that measures its qubit, keeping the reference photons,
+    passes every record check, but its output is a projector."""
     def runner(st):
         k = int(np.argmax(np.abs(logical_amplitudes(st, QUBIT))))
-        return [Record((k,), 1.0, basis_state(k))]
+        kept = st.select(st.occupied(0, k, "q0"))
+        return [Record((k,), 1.0, kept.normalized())]
 
-    with pytest.raises(PreconditionViolation, match="degenerate phase probe"):
+    with pytest.raises(PreconditionViolation, match="extracted matrix is not unitary"):
         extract_process_matrix(runner, QUBIT)
+
+
+def test_process_matrix_from_one_run():
+    """`extract_process_matrix` runs the gate once, on the entangled input."""
+    calls = []
+
+    def runner(st):
+        calls.append(st)
+        return cnot(st, "q0", "q1", 2.0, 0.5).outcomes
+
+    m = extract_process_matrix(runner, [("q0", 0), ("q1", 1)])
+    assert len(calls) == 1
+    assert matrix_residual_up_to_phase(m, ideal_cnot()) <= 1e-12
