@@ -15,9 +15,10 @@ from qubusim.gates import (
     c_path,
     cnot,
     merging,
+    multi_toffoli,
 )
-from qubusim.elements import ModeSelector
-from qubusim.state import fidelity, state_from_amplitudes
+from qubusim.elements import ModeSelector, qubus_bs
+from qubusim.state import fidelity, product_state, state_from_amplitudes
 
 from conftest import random_qubit_vector
 
@@ -306,3 +307,46 @@ class TestCPathQndMode:
             if any("ambiguous" in str(lab) for lab in rec.labels):
                 continue
             assert fidelity(ideal, rec.state) >= 1 - 1e-9
+
+
+SPLIT_C = [("C", ((0, "H"), (3, "H"))), ("T", ((1, "H"), (1, "V")))]
+FLIP = ModeSelector(0, "V", "C")
+
+
+def merge(photons, ancilla):
+    """Merge photon P from paths (2, 3) onto path 4, C the companion."""
+    st = product_state([("C", 0, "H"), *photons], extra_paths=[3, 4])
+    return merging(st, "P", (2, 3), 4, ALPHA, THETA, ancilla=ancilla,
+                   companion_flip=FLIP)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: c_path(state_from_amplitudes(SPLIT_C, [1, 0, 0, 1] / np.sqrt(2)),
+                    "C", "T", (1, 2), ALPHA, THETA),
+     "control photon must sit on a single path"),
+    (lambda: c_path(product_state([("C", 0, "H"), ("T", 1, "H"), ("X", 2, "H")]),
+                    "C", "T", (1, 2), ALPHA, THETA),
+     "second target path must be empty"),
+    (lambda: merge([("P", 2, "H"), ("X", 3, "H")], FreshAncilla()),
+     "path 3 holds other photons"),
+    (lambda: merge([("P", 2, "H"), ("X", 4, "H")], FreshAncilla()),
+     "destination path must be empty"),
+    (lambda: merge([("P", 2, "H"), ("X", 4, "H"), ("A", 5, "+")],
+                   ParkedAncilla("A", 5, 1)),
+     "destination path must be empty"),
+    (lambda: merge([("P", 2, "H"), ("A", 5, "+")], ParkedAncilla("A", 4, 1)),
+     "parked ancilla is not where recorded"),
+    (lambda: cnot(state_from_amplitudes(SPLIT_C, [1, 0, 0, 1] / np.sqrt(2)),
+                  "C", "T", ALPHA, THETA),
+     "photon 'C' is not on a single path"),
+    (lambda: multi_toffoli(product_state([("C", 0, "V"), ("T", 1, "H")]),
+                           ["C"], "T", ALPHA, THETA),
+     "need at least two control photons"),
+    (lambda: qubus_bs(product_state([("C", 0, "H")], beams=[1.0]), 0, 0),
+     "two distinct beams"),
+], ids=["c_path-control-split", "c_path-second-path", "merging-other-photons",
+        "merging-fresh-dest", "merging-parked-dest", "merging-parked-moved",
+        "home-path", "multi_toffoli-one-control", "qubus_bs-one-beam"])
+def test_precondition_errors(run, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        run()

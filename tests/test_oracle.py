@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from qubusim.elements import (
     xpm,
 )
 from qubusim.errors import CutoffTooSmall, SimulatorError
+from qubusim.gates import _c_path_program, _control_modes, c_path
 from qubusim.oracle import (
+    _config_map,
     beam_distribution,
     coherent_coefficients,
     compare,
@@ -161,6 +164,53 @@ class TestPipelines:
         assert report["worst_element"] <= 1e-6
         assert report["worst_pipeline"] <= 1e-6
         assert report["worst_distribution"] <= 1e-8
+
+
+class TestWholeGate:
+    """The public `c_path`, record by record, against the oracle running the
+    gate's own optical program (α 1.5, θ 0.5, cutoff 40)."""
+
+    ALPHA, THETA, CUTOFF = 1.5, 0.5, 40
+
+    @staticmethod
+    def swap_target_paths(cfg):
+        return tuple(m if m is None or m[0] not in (1, 2) else (3 - m[0], m[1])
+                     for m in cfg)
+
+    @pytest.mark.parametrize("which", ["plus-H", "random"])
+    def test_c_path_records(self, rng, which):
+        vec = (np.array([1, 0, 1, 0]) / math.sqrt(2) if which == "plus-H"
+               else random_qubit_vector(4, rng))
+        st = two_photons(vec, ()).add_paths([2])
+        program = _c_path_program("b", 1, 2, *_control_modes("a", 0), self.THETA)
+        bus = st.attach_beams((self.ALPHA, self.ALPHA))
+        fast = reduce(apply_instruction, program, bus)
+        fv = reduce(lambda v, ins: fock_apply(ins, v), program,
+                    fock_encode(bus, self.CUTOFF))
+        records = c_path(st, "a", "b", (1, 2), self.ALPHA, self.THETA).outcomes
+        assert [rec.labels[0][1] for rec in records] == list(range(len(records)))
+        for rec in records:
+            n = rec.labels[0][1]
+            p, post = project_beam_number(fv, 0, n)
+            assert abs(p - rec.probability) <= 1e-12
+            assert rec.recycled_qubus is not None
+            record = fock_encode(rec.state.attach_beams((rec.recycled_qubus,)), self.CUTOFF)
+            if n == 0:
+                # the record keeps only the vacuum branches (the pointer
+                # collapse); the Born state also holds the ±β branches'
+                # n = 0 overlap e^{-|β|²}
+                moved = [br for br in fast.branches if abs(br.qubus[0]) > 1e-9]
+                weight = sum(abs(br.amp) ** 2 for br in moved)
+                share = weight * math.exp(-abs(moved[0].qubus[0]) ** 2) / p
+                fid = abs(record.inner(post)) ** 2 / (
+                    record.inner(record).real * post.inner(post).real)
+                assert abs((1 - fid) - share) <= 1e-8
+                continue
+            post = _config_map(post, lambda cfg: [(1.0, self.swap_target_paths(cfg))])
+            if n % 2:
+                post = fock_apply(PhaseShift(ModeSelector(2, ANY, "b"), math.pi), post)
+            assert compare(rec.state.attach_beams((rec.recycled_qubus,)),
+                           post.scaled(1 / math.sqrt(p))) <= 1e-9
 
 
 # -- random element programs against the oracle ---------------------------------
