@@ -24,7 +24,8 @@ Measurements default to exact Fock enumeration of the measured beam;
 `QndMode` opts into a realistic QND readout (with its explicit ambiguous
 failure records), `SampleMode` into one drawn outcome per readout.  Each
 builds one `MeasureMode` record.  Both elementary gates read their bus
-through one qubus module (`_bus_readout`).
+through one qubus module (`_bus_readout`), which runs the gate's optical
+program, the instruction tuple that the oracle's `equivalence_report` runs.
 
 The public `c_path` and `merging` return one record per photon number n
 (per detector peak in `QndMode`).  Inside the composite gates every measured
@@ -344,8 +345,7 @@ def coalesce(records: Sequence[Record], tol: float = 1e-9) -> list[Record]:
 def _qubus_module(beam1_modes: Sequence[ModeSelector],
                   beam2_modes: Sequence[ModeSelector], theta: float,
                   beam: int) -> tuple[Instruction, ...]:
-    """The coupling program of both elementary gates on beams `beam` and
-    `beam + 1`: couple the first to `beam1_modes` and the second to
+    """Couple beam `beam` to `beam1_modes` and beam `beam + 1` to
     `beam2_modes` by θ, displace both by −θ and mix them on a qubus BS."""
     b2 = beam + 1
     return (*(Xpm(sel, beam, theta) for sel in beam1_modes),
@@ -356,25 +356,23 @@ def _qubus_module(beam1_modes: Sequence[ModeSelector],
 def _c_path_program(target: str, path_h: int, path_v: int,
                     v_modes: Sequence[ModeSelector], h_modes: Sequence[ModeSelector],
                     theta: float, beam: int = 0) -> tuple[Instruction, ...]:
-    """The optical program of a controlled path: the target's beam splitter,
-    then the first beam couples to the target on `path_h` and to the
-    `v_modes`, the second to the target on `path_v` and to the `h_modes`."""
+    """A controlled path's optical program: the target's beam splitter, then
+    the target on `path_h` and the `v_modes` couple to the first beam, the
+    target on `path_v` and the `h_modes` to the second."""
     return (PhotonBS(path_h, path_v),
             *_qubus_module([ModeSelector(path_h, ANY, target), *v_modes],
                            [ModeSelector(path_v, ANY, target), *h_modes], theta, beam))
 
 
 def _control_modes(control: str, path: int) -> tuple[list, list]:
-    """The (V, H) modes of a control photon on `path`, which the public
-    `c_path` couples to its first and its second beam."""
+    """The (V, H) modes of the public `c_path`'s control photon on `path`."""
     return [ModeSelector(path, "V", control)], [ModeSelector(path, "H", control)]
 
 
 def _entangler_program(p: int, q: int, dest_path: int, ancilla: str,
                        theta: float, beam: int = 0) -> tuple[Instruction, ...]:
-    """The optical program of a merging's entangler: the first beam couples
-    to V on the source paths `p`, `q` and to the ancilla's H on
-    `dest_path`, the second to H on the source paths and the ancilla's V."""
+    """A merging entangler's optical program: V on the source paths and the
+    ancilla's H couple to the first beam, H and the ancilla's V to the second."""
     return _qubus_module(
         [ModeSelector(p, "V"), ModeSelector(q, "V"), ModeSelector(dest_path, "H", ancilla)],
         [ModeSelector(p, "H"), ModeSelector(q, "H"), ModeSelector(dest_path, "V", ancilla)],

@@ -6,6 +6,9 @@ the coherent-amplitude fast path: cross-phase modulation becomes the Fock
 diagonal e^{inθ}, the qubus beam splitter a dense two-mode unitary built
 per total-photon-number block, and measurements literal projectors.  Meant
 for desk-scale validation (|α| ≲ 2, cutoff ≤ 64, at most two live beams).
+
+The elementary gates' optical programs it checks are the ones the gates
+build and run (`gates._c_path_program`, `gates._entangler_program`).
 """
 
 from __future__ import annotations
