@@ -26,6 +26,9 @@ efficiency η whose diagonal POVM elements are
 where the uncovered m lie below the first peak bin or above the last.  Each
 outcome sums its slice of one Poisson window (±40σ) of the difference mode;
 Π_E sums the uncovered slices, so its small weights are not rounding noise.
+The response table R depends only on (detector, bins, n_max): it is built
+once per such triple and shared, read-only, by the readouts that follow
+(`response_matrix` keeps the 64 most recently used tables).
 
 Direct Fock projection removes the measured beam from the registry (a Fock
 state is not representable by a coherent label).  By default the collapse is
@@ -41,6 +44,7 @@ public `c_path`'s n = 0 record at α 2, θ 0.5): the n = 0 term that
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -326,13 +330,24 @@ def _click_probability(eta: float, m: np.ndarray) -> np.ndarray:
     return -np.expm1(m * math.log1p(-eta))
 
 
+# the largest difference-mode mean whose Poisson window a readout builds
+# (about 80·√mean + 20 entries: 8e5 at the ceiling)
+_MAX_PROBE_MEAN = 1e8
+
+
 def _response_row(det: DetectorParams, bins: PovmBins, probe_mean: float) -> np.ndarray:
     """P(outcome | difference mode in a coherent state of mean `probe_mean`),
     in `outcome_keys` order.
 
     Each peak sums Pois(m)·(1−(1−η)^m) over its Fock range within ±40σ of
     the mean; Π_E sums the same terms over the m that no peak bin covers.
+    A mean above `_MAX_PROBE_MEAN`, or not finite, raises
+    PreconditionViolation before the window is built.
     """
+    if not probe_mean <= _MAX_PROBE_MEAN:
+        raise PreconditionViolation(
+            f"probe mean {probe_mean:g} of γ = {det.gamma!r}, θp = {det.theta_p!r} "
+            f"exceeds {_MAX_PROBE_MEAN:g} photons")
     row = np.zeros(len(bins.bins) + 1)
     row[0] = math.exp(-det.eta * probe_mean)
     if probe_mean <= 0:
@@ -352,11 +367,17 @@ def _response_row(det: DetectorParams, bins: PovmBins, probe_mean: float) -> np.
     return row
 
 
+@functools.lru_cache(maxsize=64)
 def response_matrix(det: DetectorParams, bins: PovmBins, n_max: int) -> np.ndarray:
     """R[n, o] = P(outcome o | signal Fock n) for n = 0..n_max, outcomes in
-    `outcome_keys(bins.k_max)` order."""
-    return np.array([_response_row(det, bins, peak_mean(det, n))
+    `outcome_keys(bins.k_max)` order.
+
+    Built once per (det, bins, n_max) and shared by later calls, so the
+    array is read-only."""
+    resp = np.array([_response_row(det, bins, peak_mean(det, n))
                      for n in range(n_max + 1)])
+    resp.flags.writeable = False
+    return resp
 
 
 def _response_table(det: DetectorParams, n_max: int,

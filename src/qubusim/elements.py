@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .errors import PreconditionViolation
 from .state import HybridState, H, V, parse_pol
@@ -42,7 +42,7 @@ class ModeSelector:
     """
 
     path: int
-    pol: Union[int, str] = ANY
+    pol: int | str = ANY
     photon: Optional[str] = None
     pol_index: Optional[int] = field(init=False, repr=False, compare=False)
 
@@ -183,7 +183,7 @@ class Xpm:
     theta: float
 
 
-Instruction = Union[PhotonBS, PbsHV, PbsDiag, PhaseShift, QubusPhase, QubusBS, Xpm]
+Instruction = PhotonBS | PbsHV | PbsDiag | PhaseShift | QubusPhase | QubusBS | Xpm
 
 
 def apply_instruction(state: HybridState, instr: Instruction) -> HybridState:

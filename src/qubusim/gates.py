@@ -74,7 +74,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -254,7 +254,7 @@ def _heralded_failure(rec: Record) -> bool:
 
 
 def chain(records: Sequence[Record],
-          stage: Callable[[Record], Union[GateResult, Sequence[Record]]],
+          stage: Callable[[Record], GateResult | Sequence[Record]],
           ) -> list[Record]:
     """Feed every record through a gate stage and flatten the outcome tree.
 
@@ -491,7 +491,7 @@ class ParkedAncilla:
     sign: int
 
 
-AncillaSpec = Union[FreshAncilla, ParkedAncilla]
+AncillaSpec = FreshAncilla | ParkedAncilla
 
 
 def _locate_photon(state: HybridState, photon: str, paths: Sequence[int],

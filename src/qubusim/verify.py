@@ -12,8 +12,9 @@ and the matrix must be unitary; each of these is a correctness check.
 
 from __future__ import annotations
 
+import collections.abc
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,9 @@ def logical_amplitudes(state: HybridState, qubits: Sequence[tuple[str, int]],
     return out
 
 
-Runner = Callable[[HybridState], Sequence[Record]]
+# not typing.Callable: typing caches the aliases it builds for the life of the
+# process, and an alias of a qubusim class would keep every imported copy alive
+Runner = collections.abc.Callable[[HybridState], collections.abc.Sequence[Record]]
 
 
 def probe_output(runner: Runner, qubits: Sequence[tuple[str, int]],

@@ -337,6 +337,18 @@ class TestCommandLine:
         unnorm.write_text(json.dumps(doc))
         assert main(["run", str(unnorm)]) == 3
 
+    def test_huge_probe_mean_is_a_runtime_error(self, tmp_path, capsys):
+        # the qnd readout's probe mean |γ|²(1−cos θp) is 5e13: refused before
+        # its Poisson window (about 5.7e8 entries) is built
+        doc = json.loads((REPO / "circuits" / "ops.json").read_text())
+        doc["run"]["detector"]["gamma"] = 1e8
+        src = tmp_path / "bright_probe.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: circuit[1] (qnd): probe mean")
+        assert "Traceback" not in err
+
     def test_run_writes_report(self, tmp_path, capsys):
         src = tmp_path / "cnot.json"
         src.write_text(CNOT_DOC)
@@ -451,6 +463,31 @@ class TestCommandLine:
             capture_output=True, text=True, cwd=REPO)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+def test_reimported_package_is_released():
+    # typing's caches keep the aliases they build, and an alias of a qubusim
+    # class would keep each imported copy of the package alive
+    script = """
+import gc, importlib, sys, weakref
+
+def fresh_import():
+    for key in [k for k in sys.modules if k.split(".")[0] == "qubusim"]:
+        del sys.modules[key]
+    return importlib.import_module("qubusim")
+
+qs = fresh_import()
+refs = [weakref.ref(qs.state.HybridState), weakref.ref(qs.gates.MeasureMode),
+        weakref.ref(qs.detection.DetectorParams)]
+del qs
+fresh_import()
+gc.collect()
+print([ref() is None for ref in refs])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True]"
 
 
 class TestGoldenGateOutputs:

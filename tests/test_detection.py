@@ -523,6 +523,37 @@ class TestResponseArrays:
         assert resp[12, -1] == pytest.approx(4.20818524906e-32, rel=1e-9, abs=0)
 
 
+class TestResponseMemo:
+    DET = DetectorParams(0.9, 200.0, 0.1)
+
+    def test_one_shared_read_only_table(self):
+        bins = povm_bins(self.DET, 6)
+        first = response_matrix(self.DET, bins, 6)
+        assert response_matrix(DetectorParams(0.9, 200.0, 0.1), bins, 6) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+        assert np.array_equal(first, response_matrix.__wrapped__(self.DET, bins, 6))
+
+    def test_qnd_cnot_records_do_not_depend_on_the_cache(self):
+        def run():
+            st = product_state([("C", 0, "+"), ("T", 1, {"H": 0.6, "V": 0.8j})])
+            res = gates.cnot(st, "C", "T", 1.5, 0.5, mode=gates.QndMode(self.DET))
+            return [(r.labels, r.probability, r.state.branches) for r in res.outcomes]
+
+        response_matrix.cache_clear()
+        cold = run()
+        misses = response_matrix.cache_info().misses
+        assert misses > 0
+        assert run() == cold
+        assert response_matrix.cache_info().misses == misses
+
+    def test_probe_mean_ceiling(self):
+        det = DetectorParams(0.9, 1e8, 0.1)
+        with pytest.raises(PreconditionViolation, match=r"probe mean 4\.99583e\+13 "
+                           r"of γ = 100000000\.0, θp = 0\.1 exceeds 1e\+08"):
+            response_matrix(det, povm_bins(det, 2), 2)
+
+
 class TestQndAnalysisArrays:
     @staticmethod
     def recorded_readouts(monkeypatch, gate, alpha, gamma):
